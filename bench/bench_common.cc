@@ -1,16 +1,17 @@
 #include "bench_common.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "util/clock.h"
 #include "util/random.h"
+#include "util/scratch_dirs.h"
+#include "util/sharded_histogram.h"
 #include "workloads/tpcc.h"
 
 namespace cpr::bench {
@@ -49,15 +50,9 @@ std::vector<uint32_t> SweepThreads() {
 
 std::string FreshBenchDir(const std::string& tag) {
   // Pid-qualified so concurrent bench processes (e.g. two crash campaigns
-  // in parallel CI lanes on one machine) never rm -rf each other's live
-  // durability directories.
-  static std::atomic<int> counter{0};
-  std::string dir = "/tmp/cpr_bench_" + tag + "_" +
-                    std::to_string(::getpid()) + "_" +
-                    std::to_string(counter.fetch_add(1));
-  std::string cmd = "rm -rf " + dir;
-  (void)!system(cmd.c_str());
-  return dir;
+  // in parallel CI lanes on one machine) never remove each other's live
+  // durability directories; removed when the bench exits.
+  return ScratchDirRegistry::Instance().Fresh("/tmp", "cpr_bench_" + tag);
 }
 
 // -- Transactional database --------------------------------------------------
@@ -82,7 +77,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
-  std::vector<Histogram> latencies(config.threads);
+  std::vector<HistogramData> latencies(config.threads);
   std::vector<std::thread> workers;
   workers.reserve(config.threads);
   for (uint32_t t = 0; t < config.threads; ++t) {
@@ -93,7 +88,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
       std::vector<char> write_value(
           config.tpcc ? 8 : config.ycsb.value_size, static_cast<char>(t));
       txdb::Transaction txn;
-      Histogram& lat = latencies[t];
+      HistogramData& lat = latencies[t];
       uint32_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (config.tpcc) {
@@ -166,10 +161,10 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
   result.breakdown.committed_txns -= counters_at_start.committed_txns;
   result.breakdown.aborted_txns -= counters_at_start.aborted_txns;
   result.aborted = result.breakdown.aborted_txns;
-  Histogram all;
-  for (const Histogram& h : latencies) all.Merge(h);
-  result.mean_latency_us = all.MeanNs() / 1000.0;
-  result.p99_latency_us = static_cast<double>(all.QuantileNs(0.99)) / 1000.0;
+  HistogramData all;
+  for (const HistogramData& h : latencies) all.Merge(h);
+  result.mean_latency_us = all.Mean() / 1000.0;
+  result.p99_latency_us = static_cast<double>(all.Quantile(0.99)) / 1000.0;
   return result;
 }
 
@@ -200,8 +195,8 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
   std::vector<uint64_t> ops_done(config.threads * 8, 0);  // padded slots
-  std::vector<Histogram> lat_rest(config.threads);
-  std::vector<Histogram> lat_commit(config.threads);
+  std::vector<HistogramData> lat_rest(config.threads);
+  std::vector<HistogramData> lat_commit(config.threads);
   workloads::YcsbConfig ycsb;
   ycsb.num_keys = config.num_keys;
   ycsb.distribution = config.zipf ? workloads::KeyDistribution::kZipfian
@@ -315,14 +310,14 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
 
   result.total_ops = ops_at_end - ops_at_start;
   result.mops = static_cast<double>(result.total_ops) / elapsed / 1e6;
-  Histogram rest, commit;
-  for (const Histogram& h : lat_rest) rest.Merge(h);
-  for (const Histogram& h : lat_commit) commit.Merge(h);
-  result.rest_mean_us = rest.MeanNs() / 1000.0;
-  result.rest_p99_us = static_cast<double>(rest.QuantileNs(0.99)) / 1000.0;
-  result.commit_mean_us = commit.MeanNs() / 1000.0;
+  HistogramData rest, commit;
+  for (const HistogramData& h : lat_rest) rest.Merge(h);
+  for (const HistogramData& h : lat_commit) commit.Merge(h);
+  result.rest_mean_us = rest.Mean() / 1000.0;
+  result.rest_p99_us = static_cast<double>(rest.Quantile(0.99)) / 1000.0;
+  result.commit_mean_us = commit.Mean() / 1000.0;
   result.commit_p99_us =
-      static_cast<double>(commit.QuantileNs(0.99)) / 1000.0;
+      static_cast<double>(commit.Quantile(0.99)) / 1000.0;
   return result;
 }
 

@@ -7,7 +7,6 @@
 
 #include "faster/faster.h"
 #include "txdb/db.h"
-#include "util/histogram.h"
 #include "util/instrumentation.h"
 #include "workloads/ycsb.h"
 
@@ -29,7 +28,7 @@ double EnvF64(const char* name, double def);
 // Thread counts for scalability sweeps: 1,2,4,...,CPR_BENCH_THREADS.
 std::vector<uint32_t> SweepThreads();
 
-// Fresh scratch directory under /tmp for a bench run.
+// Fresh scratch directory under /tmp for a bench run, removed at exit.
 std::string FreshBenchDir(const std::string& tag);
 
 // -- Transactional-database runner (Figs. 2, 10, 11, 16, 17) ---------------

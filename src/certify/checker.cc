@@ -323,9 +323,11 @@ void CheckerState::ApplyCommittedOp(uint64_t guid, const EventOp& op) {
       for (const net::TxnWireOp& top : op.txn_ops) {
         switch (top.kind) {
           case net::TxnOpKind::kRead:
-            if (resolved) {
+            if (resolved || op.status == net::WireStatus::kNotDurable) {
+              // Results lost with the un-delivered ack, or never sent: the
+              // wire carries a TXN's read results only on an OK ack.
               ++read_idx;
-              break;  // results lost with the un-delivered ack
+              break;
             }
             if (read_idx < op.txn_reads.size()) {
               add_observation(top.table, top.row, op.txn_reads[read_idx]);

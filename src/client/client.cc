@@ -13,11 +13,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
-
-#include "util/clock.h"
 
 namespace cpr::client {
 
@@ -27,19 +24,6 @@ CprClient::CprClient(Options options) : options_(std::move(options)) {
   jitter_state_ ^= static_cast<uint32_t>(reinterpret_cast<uintptr_t>(this));
   jitter_state_ ^= static_cast<uint32_t>(options_.guid * 0x9e3779b97f4a7c15ull);
   if (jitter_state_ == 0) jitter_state_ = 0x9e3779b9u;
-  // CPR_CLIENT_BATCH forces batching on without code changes, so existing
-  // campaigns (fault matrix, TPC-C certify runs) prove the batched wire
-  // path preserves every exactly-once/replay contract.
-  const char* env = std::getenv("CPR_CLIENT_BATCH");
-  if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
-    options_.batch = true;
-  }
-  options_.batch_max_ops =
-      std::clamp<uint32_t>(options_.batch_max_ops, 1, net::kMaxBatchOps);
-  if (options_.window_min == 0) options_.window_min = 1;
-  if (options_.window_max < options_.window_min) {
-    options_.window_max = options_.window_min;
-  }
 }
 
 CprClient::~CprClient() { Close(); }
@@ -54,8 +38,6 @@ void CprClient::Close() {
   recv_off_ = 0;
   batch_stage_.clear();
   batch_stage_ops_ = 0;
-  rtt_mark_ns_ = 0;  // the marked request will never be answered
-  rtt_mark_seq_ = 0;
   FailInflight();
 }
 
@@ -241,8 +223,8 @@ Status CprClient::ReplayAfter(uint64_t recovered) {
   if (!st.ok()) return st;
   // A concurrent checkpoint can make our CHECKPOINT request report BUSY
   // without covering the replayed ops; on an ack timeout, nudge again.
-  // Draining is driven off the in-flight set, not a response count: with
-  // batching on, one response frame settles many in-flight ops.
+  // Draining is driven off the in-flight set, not a response count: one
+  // BATCH response frame settles many in-flight ops.
   int nudges = durable ? 3 : 0;
   while (!inflight_.empty()) {
     st = Drain(nullptr, 1);
@@ -290,30 +272,19 @@ void CprClient::NeutralizeReplay(uint64_t serial) {
 }
 
 void CprClient::EnqueueRequest(const net::Request& req) {
-  // RTT sampling: arm the mark on the FIRST op of a new burst (one sample in
-  // flight at a time; the clock starts at Flush). The first op's round trip
-  // measures wire latency plus the server's queue — independent of how deep
-  // this burst is — so the adaptive window doesn't punish its own depth.
-  if (options_.adaptive_window && rtt_mark_seq_ == 0) {
-    rtt_mark_seq_ = req.seq;
-  }
-  ++flush_pending_ops_;
-  const bool batchable =
-      options_.batch &&
-      (req.op == net::Op::kRead || req.op == net::Op::kUpsert ||
-       req.op == net::Op::kRmw || req.op == net::Op::kDelete);
-  if (batchable) {
+  if (req.op == net::Op::kRead || req.op == net::Op::kUpsert ||
+      req.op == net::Op::kRmw || req.op == net::Op::kDelete) {
     // Stage the pre-encoded frame: a standalone frame (u32 len + payload)
     // is byte-identical to a BATCH sub-message, so Flush can seal the stage
     // into one BATCH frame — or emit a lone staged op verbatim. Only the
     // transport grouping changes; seq/serial/replay bookkeeping below is
-    // identical to the unbatched path.
+    // per op.
     if (batch_stage_ops_ == 0) batch_stage_seq_ = req.seq;
     net::EncodeRequest(req, &batch_stage_);
     ++batch_stage_ops_;
     // Seal early at the op cap or when another sub-op might not fit under
     // the outer frame's length ceiling.
-    if (batch_stage_ops_ >= options_.batch_max_ops ||
+    if (batch_stage_ops_ >= kBatchMaxOps ||
         batch_stage_.size() + value_size_ + 64 >= net::kMaxFrameBytes) {
       FlushBatchStage();
     }
@@ -509,18 +480,6 @@ Status CprClient::Flush() {
   if (fd_ < 0) return Status::IoError("not connected");
   FlushBatchStage();
   if (sendbuf_.empty()) return Status::Ok();
-  // Start the armed RTT sample's clock just before the send, so the round
-  // trip includes the send itself. The marked response surfaces only after
-  // the first frame of this burst is fully executed; remember that frame's
-  // op count so ObserveRtt can normalize the sample per op.
-  if (options_.adaptive_window && rtt_mark_seq_ != 0 && rtt_mark_ns_ == 0) {
-    rtt_mark_ns_ = NowNanos();
-    rtt_mark_ops_ =
-        options_.batch
-            ? std::max(1u, std::min(flush_pending_ops_, options_.batch_max_ops))
-            : 1;
-  }
-  flush_pending_ops_ = 0;
   Status s = SendAll(sendbuf_.data(), sendbuf_.size());
   sendbuf_.clear();
   return s;
@@ -599,7 +558,7 @@ Status CprClient::ProcessResponse(net::Response resp, std::vector<Result>* out,
   if (resp.op == net::Op::kBatch) {
     // One frame, many logical responses: unpack through the single-response
     // core so seq matching, recording, durability notes and replay
-    // bookkeeping are identical to the unbatched path.
+    // bookkeeping are identical to a plain frame's.
     if (resp.status != net::WireStatus::kOk || resp.batch.empty()) {
       // An empty/failed batch consumed no in-flight op; treating it as
       // progress-free corruption also keeps Drain from spinning forever.
@@ -625,7 +584,6 @@ Status CprClient::ProcessOne(net::Response resp, std::vector<Result>* out) {
   }
   const InFlight inf = inflight_.front();
   inflight_.pop_front();
-  if (options_.adaptive_window) ObserveRtt(resp.seq);
   if (resp.seq != inf.seq || resp.op != inf.op) {
     return Status::Corruption("response out of order (pipeline desync)");
   }
@@ -793,8 +751,8 @@ Status CprClient::Drain(std::vector<Result>* out, size_t count) {
     s = ProcessResponse(std::move(resp), out, &n);
     if (!s.ok()) return s;
     // A BATCH frame may settle more in-flight ops than the caller asked
-    // for; over-delivering (never blocking for extra frames) is the
-    // batching-compatible reading of `count`.
+    // for; over-delivering (never blocking for extra frames) is how
+    // `count` reads under batching.
     count -= std::min(count, n);
   }
   return Status::Ok();
@@ -851,61 +809,6 @@ Status CprClient::TryDrain(std::vector<Result>* out, size_t* processed) {
   }
   CompactRecvBuf();
   return status;
-}
-
-// -- Adaptive window ---------------------------------------------------------
-
-size_t CprClient::target_window() const {
-  if (!options_.adaptive_window || window_ < options_.window_min) {
-    return options_.window_min;
-  }
-  return static_cast<size_t>(
-      std::min<double>(window_, options_.window_max));
-}
-
-void CprClient::ObserveRtt(uint32_t seq) {
-  if (rtt_mark_ns_ == 0 || seq != rtt_mark_seq_) return;
-  // Normalize by the marked frame's op count (see rtt_mark_ops_): the
-  // controller must react to queueing ahead of the burst, not to the batch
-  // size the client itself picked.
-  const uint64_t rtt =
-      std::max<uint64_t>(1, (NowNanos() - rtt_mark_ns_) / rtt_mark_ops_);
-  rtt_mark_ns_ = 0;
-  rtt_mark_seq_ = 0;
-  if (rtt_min_ns_ == 0 || rtt < rtt_min_ns_) rtt_min_ns_ = rtt;
-  rtt_ewma_ns_ = rtt_ewma_ns_ == 0
-                     ? static_cast<double>(rtt)
-                     : 0.8 * rtt_ewma_ns_ + 0.2 * static_cast<double>(rtt);
-  AdjustWindow();
-}
-
-void CprClient::AdjustWindow() {
-  // AIMD on queueing delay: while the measured round trip stays near the
-  // observed floor the pipe is not the bottleneck — grow additively. Once
-  // RTT inflates well past the floor the extra depth is only queueing —
-  // back off multiplicatively. Between the thresholds, hold.
-  const double wmin = static_cast<double>(options_.window_min);
-  const double wmax = static_cast<double>(options_.window_max);
-  if (window_ < wmin) window_ = wmin;
-  if (rtt_ewma_ns_ <= 2.0 * static_cast<double>(rtt_min_ns_)) {
-    window_ += std::max(1.0, window_ / 8.0);
-  } else if (rtt_ewma_ns_ >= 4.0 * static_cast<double>(rtt_min_ns_)) {
-    window_ *= 0.75;
-  }
-  window_ = std::clamp(window_, wmin, wmax);
-}
-
-void CprClient::NoteServerDurableLag(uint64_t p99_ns) {
-  if (!options_.adaptive_window || rtt_ewma_ns_ <= 0) return;
-  // Durable-gate lag dwarfing the wire RTT means acks are stalling behind
-  // checkpoints, not the network: more outstanding ops would only deepen
-  // the stall (and the server's queues). Cut multiplicatively; RTT-driven
-  // additive growth re-probes once the gate drains.
-  if (static_cast<double>(p99_ns) > 8.0 * rtt_ewma_ns_) {
-    window_ = std::clamp(window_ * 0.5,
-                         static_cast<double>(options_.window_min),
-                         static_cast<double>(options_.window_max));
-  }
 }
 
 namespace {

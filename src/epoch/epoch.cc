@@ -79,12 +79,15 @@ int32_t EpochFramework::AcquireSlot() {
 }
 
 uint64_t EpochFramework::RefreshSlot(int32_t slot) {
+  return RefreshSlot(slot, current_epoch_.load(std::memory_order_acquire));
+}
+
+uint64_t EpochFramework::RefreshSlot(int32_t slot, uint64_t observed) {
   assert(slot >= 0 && static_cast<uint32_t>(slot) < max_threads_);
-  const uint64_t epoch = current_epoch_.load(std::memory_order_acquire);
-  table_[slot].local_epoch.store(epoch, std::memory_order_release);
+  table_[slot].local_epoch.store(observed, std::memory_order_release);
   const uint64_t safe = ComputeNewSafeEpoch();
   if (drain_count_.load(std::memory_order_acquire) > 0) Drain(safe);
-  return epoch;
+  return observed;
 }
 
 void EpochFramework::ReleaseSlot(int32_t slot) {

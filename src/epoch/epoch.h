@@ -69,6 +69,13 @@ class EpochFramework {
   // Publishes progress for `slot`: same contract as Refresh().
   uint64_t RefreshSlot(int32_t slot);
 
+  // Publishes `observed` — a current_epoch() value read before the caller
+  // looked at its global state — instead of re-reading the epoch. A bump
+  // that lands between that look and the publish then stays unacknowledged
+  // until the slot's next refresh, so "epoch safe" still implies "this slot
+  // observed every transition published before the bump".
+  uint64_t RefreshSlot(int32_t slot, uint64_t observed);
+
   // Frees `slot`; pending trigger actions no longer wait on it.
   void ReleaseSlot(int32_t slot);
 

@@ -453,8 +453,11 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
     }
 
     // ---- Chain continues on disk (addr in [begin, head)). ----
+    // The chain below addr is immutable, so while the walk still leaves
+    // memory at the same address, the fetched record (addr itself or a
+    // deeper hop) continues it.
     if (op.io_issued && op.io_done.load(std::memory_order_acquire) &&
-        op.io_address == addr) {
+        op.io_disk_entry == addr) {
       const Record* drec =
           reinterpret_cast<const Record*>(op.io_buffer.data());
       if (!drec->info.invalid() && drec->key == op.key) {
@@ -520,6 +523,7 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
       return OpOutcome::kPendingIo;
     }
     op.io_address = addr;
+    op.io_disk_entry = addr;
     keep_latch();
     return OpOutcome::kPendingIo;
   }
@@ -611,6 +615,7 @@ void FasterKv::ParkOp(Session& session, PendingOp& op) {
   p.holds_latch = op.holds_latch;
   p.bucket = op.bucket;
   p.io_address = op.io_address;
+  p.io_disk_entry = op.io_disk_entry;
   if (p.kind != OpKind::kRead) {
     p.counted = true;
     pending_count_[p.version & 1].fetch_add(1, std::memory_order_acq_rel);
@@ -697,6 +702,20 @@ void FasterKv::AdvanceSerial(Session& session, uint64_t serial) {
 
 void FasterKv::Refresh(Session& session) {
   session.ops_since_refresh_ = 0;
+  // Read the epoch before observing the state and publish that value: a
+  // phase stored before any bump it covers is then seen first, so the slot
+  // never acknowledges a transition it has not observed.
+  const uint64_t observed = epoch_.current_epoch();
+  ObserveState(session);
+  epoch_.RefreshSlot(session.epoch_slot_, observed);
+  TickStateMachine();
+  // The refresh's drained actions or the tick may have moved the state on
+  // (e.g. finished the commit); without a second look the session would
+  // keep a stale in-flight phase while the store is at rest.
+  ObserveState(session);
+}
+
+void FasterKv::ObserveState(Session& session) {
   const uint64_t st = state_.load(std::memory_order_acquire);
   const Phase ph = SystemState::PhaseOf(st);
   const uint32_t v = SystemState::VersionOf(st);
@@ -731,8 +750,6 @@ void FasterKv::Refresh(Session& session) {
     session.phase_ = ph;
     session.version_ = effective;
   }
-  epoch_.RefreshSlot(session.epoch_slot_);
-  TickStateMachine();
 }
 
 void FasterKv::TickStateMachine() {
@@ -749,7 +766,7 @@ void FasterKv::TickStateMachine() {
             ? hlog_->flushed_until() >= ckpt_.lhe
             : snapshot_done_.load(std::memory_order_acquire);
     if (flush_done && index_completed_token_.load(
-                          std::memory_order_acquire) == ckpt_.index_token) {
+                          std::memory_order_acquire) >= ckpt_.index_token) {
       FinalizeCheckpoint(st);
     }
   }
@@ -952,16 +969,25 @@ bool FasterKv::DoIndexCheckpoint(uint64_t* token_out) {
     payload.insert(payload.end(), image->begin(), image->end());
     const Status s = RetryIo(
         [&] { return WriteCheckedBlob(path, kIndexMagic, payload, sync); });
+    // Two index writes can be in flight (a standalone CheckpointIndex and
+    // the commit that followed it) and finish out of order: both tokens only
+    // move forward, so an older image landing last changes nothing.
     if (s.ok()) {
       std::lock_guard<std::mutex> lock(ckpt_mu_);
-      last_index_token_ = token;
-      last_index_li_ = li;
+      if (token > last_index_token_) {
+        last_index_token_ = token;
+        last_index_li_ = li;
+      }
     } else {
       // Keep the previous good image for future log-only commits; the
       // in-flight checkpoint that wanted this one fails.
       index_failed_.store(true, std::memory_order_release);
     }
-    index_completed_token_.store(token, std::memory_order_release);
+    uint64_t done = index_completed_token_.load(std::memory_order_relaxed);
+    while (done < token && !index_completed_token_.compare_exchange_weak(
+                               done, token, std::memory_order_release,
+                               std::memory_order_relaxed)) {
+    }
   });
   if (token_out != nullptr) *token_out = token;
   return true;

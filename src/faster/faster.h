@@ -63,6 +63,9 @@ struct PendingOp {
   bool io_issued = false;
   std::atomic<bool> io_done{false};
   Address io_address = kInvalidAddress;
+  // First on-disk address of the chain walk that led to io_address (equal
+  // to it, or above it after key-mismatched hops down the disk chain).
+  Address io_disk_entry = kInvalidAddress;
   std::vector<char> io_buffer;
 };
 
@@ -344,6 +347,9 @@ class FasterKv {
   void FinalizeOp(Session& session, PendingOp& op, bool found);
 
   // State machine internals.
+  // Moves the session's phase and version (and CPR point) to the global
+  // state.
+  void ObserveState(Session& session);
   void EnterWaitFlush(uint64_t state);
   void FinalizeCheckpoint(uint64_t state);
   bool DoIndexCheckpoint(uint64_t* token_out);
@@ -385,8 +391,8 @@ class FasterKv {
   std::mutex ckpt_mu_;
   CheckpointMetadata ckpt_;
   CheckpointCallback ckpt_callback_;
-  // Token of the most recently *completed* index checkpoint write; the
-  // active commit is gated on this matching ckpt_.index_token.
+  // Newest token among the *completed* index checkpoint writes; the active
+  // commit waits until it reaches ckpt_.index_token.
   std::atomic<uint64_t> index_completed_token_{0};
   std::atomic<bool> snapshot_done_{false};
   // Artifact failures of the in-flight checkpoint: set by the async snapshot

@@ -155,9 +155,10 @@ struct KvServer::PendingResponse {
   uint64_t park_ns = 0;       // accumulated instant-restart park wait
   uint64_t t_exec_start = 0;  // backend dispatch began
   uint64_t t_ready = 0;       // execution result known (sync or async)
-  // BATCH membership: all sub-ops of one BATCH frame release atomically as
-  // one response frame. Every member sets in_batch; the FIRST member also
-  // carries the group size and the outer frame's seq.
+  // BATCH membership: the sub-ops of one BATCH frame answer in BATCH
+  // response frames, each carrying the members released together. Every
+  // member sets in_batch; the FIRST member still queued also carries the
+  // number of members left and the outer frame's seq.
   bool in_batch = false;
   uint32_t batch_size = 0;
   uint32_t batch_seq = 0;
@@ -310,23 +311,24 @@ Status KvServer::Start() {
     w->poller.Add(w->wake_r);
     workers_.push_back(std::move(w));
   }
-  for (auto& w : workers_) {
-    Worker* raw = w.get();
-    w->thread = std::thread([this, raw] { WorkerLoop(*raw); });
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  // Worker state the loops read is set before any worker starts.
   last_periodic_ckpt_ns_ = NowNanos();
   adaptive_policy_ = durability::AdaptivePolicy(options_.adaptive);
   last_adaptive_ns_ = 0;
-
-  // Instant restart: the listener is already up, so HELLO and STATS answer
-  // immediately; backend recovery (if requested) proceeds on its own thread
-  // while data ops park or serve per shard readiness.
   serve_start_ns_ = NowNanos();
   first_op_served_.store(false, std::memory_order_relaxed);
   recovery_installed_.store(!options_.recover_on_start,
                             std::memory_order_release);
   recovery_done_.store(!options_.recover_on_start, std::memory_order_release);
+  for (auto& w : workers_) {
+    Worker* raw = w.get();
+    w->thread = std::thread([this, raw] { WorkerLoop(*raw); });
+  }
+  acceptor_ = std::thread([this] { AcceptLoop(); });
+
+  // Instant restart: the listener is already up, so HELLO and STATS answer
+  // immediately; backend recovery (if requested) proceeds on its own thread
+  // while data ops park or serve per shard readiness.
   if (options_.recover_on_start) {
     recovery_thread_ = std::thread([this] { RecoveryMain(); });
   }
@@ -515,8 +517,8 @@ void KvServer::Stop() {
   stop_.store(true, std::memory_order_release);
   ::shutdown(listen_fd_, SHUT_RDWR);
   ::close(listen_fd_);
-  listen_fd_ = -1;
   if (acceptor_.joinable()) acceptor_.join();
+  listen_fd_ = -1;  // only after the acceptor, which reads it, has exited
   for (auto& w : workers_) {
     (void)!::write(w->wake_w, "x", 1);
   }
@@ -797,10 +799,10 @@ void KvServer::HandleRequest(Connection* c, const net::Request& req) {
       HandleProvider(c, req);
       return;
     case net::Op::kBatch:
-      HandleBatch(c, req);
+      if (!ParkIfCold(c, req)) HandleBatch(c, req);
       return;
     default:
-      HandleDataOp(c, req);
+      if (!ParkIfCold(c, req)) HandleDataOp(c, req);
       return;
   }
 }
@@ -824,15 +826,15 @@ void KvServer::HandleBatch(Connection* c, const net::Request& req) {
     }
     HandleDataOp(c, req.batch[i], /*in_batch=*/true);
   }
-  // Every in-batch HandleDataOp path queues exactly one entry (in-batch ops
-  // never park), so the group is contiguous and complete.
+  // Every HandleDataOp path queues exactly one entry (parking happened, if
+  // at all, for the whole frame before dispatch), so the group is
+  // contiguous and complete.
   PendingResponse& first = c->queue[qbase];
   first.batch_size = static_cast<uint32_t>(c->queue.size() - qbase);
   first.batch_seq = req.seq;
   // Op-mix counters, one atomic add per batch instead of per sub-op. Only
   // sub-ops that reached the backend count (`traced` is set exactly where
-  // the unbatched path bumps these), so rejected subs stay uncounted in
-  // both modes.
+  // a lone op bumps these), so rejected subs stay uncounted either way.
   size_t reads = 0;
   size_t writes = 0;
   for (size_t i = qbase; i < c->queue.size(); ++i) {
@@ -1082,20 +1084,13 @@ void KvServer::HandleDataOp(Connection* c, const net::Request& req,
     c->queue.push_back(std::move(entry));
     return;
   }
-  // Instant restart: ops for already-restored shards serve at full speed;
-  // an op whose shard is still restoring parks (bounded) and the restore
-  // queue is reordered to front that shard. With the parking queue full —
-  // or the shard terminally failed — burn one serial and answer the
-  // retryable RECOVERING instead.
+  // Instant restart: ops for already-restored shards serve at full speed.
+  // A still-restoring shard here means ParkIfCold could not park the
+  // request (parking queue full, or the shard terminally failed): burn one
+  // serial and answer the retryable RECOVERING instead.
   const uint32_t shard = kv_->ShardOfKey(req.key);
   if (!kv_->ShardReady(shard)) {
     kv_->PrioritizeShard(shard);
-    // In-batch ops never park: parking stops frame consumption mid-group
-    // and would leave the batch's response set incomplete.
-    if (!in_batch && !recovery_done_.load(std::memory_order_acquire) &&
-        TryParkRequest(c, req, shard)) {
-      return;
-    }
     RejectRecovering(c, req, in_batch);
     return;
   }
@@ -1325,6 +1320,23 @@ void KvServer::RecoveryMain() {
   recovery_done_.store(true, std::memory_order_release);
 }
 
+bool KvServer::ParkIfCold(Connection* c, const net::Request& req) {
+  // Outside instant restart recovery_done_ is set from the start, so the
+  // serving path pays one load and never looks at shards here.
+  if (c->session == nullptr || recovery_done_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  const bool batch = req.op == net::Op::kBatch;
+  const size_t n = batch ? req.batch.size() : 1;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t shard = kv_->ShardOfKey(batch ? req.batch[i].key : req.key);
+    if (kv_->ShardReady(shard)) continue;
+    kv_->PrioritizeShard(shard);
+    return TryParkRequest(c, req, shard);
+  }
+  return false;
+}
+
 bool KvServer::TryParkRequest(Connection* c, const net::Request& req,
                               uint32_t shard) {
   uint32_t cur = parked_ops_.load(std::memory_order_relaxed);
@@ -1363,19 +1375,10 @@ void KvServer::RetryParked(Worker& w, Connection* c) {
   const bool hello = c->parked_req.op == net::Op::kHello;
   const bool ready = hello ? recovery_installed_.load(std::memory_order_acquire)
                            : kv_->ShardReady(c->parked_shard);
-  if (!ready) {
-    // HELLO always unparks eventually (StartRecovery returns even on
-    // failure). A data op's shard that is unready after recovery concluded
-    // is terminally failed: stop waiting and answer RECOVERING.
-    if (hello || !recovery_done_.load(std::memory_order_acquire)) return;
-    const net::Request req = std::move(c->parked_req);
-    c->parked = false;
-    c->parked_req = net::Request();
-    c->req_park_ns += NowNanos() - c->parked_since_ns;
-    parked_ops_.fetch_sub(1, std::memory_order_relaxed);
-    RejectRecovering(c, req);
-    c->recv_batch_ns = NowNanos();
-    ParseFrames(w, c);
+  // HELLO always unparks eventually (StartRecovery returns even on failure).
+  // A data shard that is unready after recovery concluded is terminally
+  // failed: stop waiting and re-dispatch, so its ops answer RECOVERING.
+  if (!ready && (hello || !recovery_done_.load(std::memory_order_acquire))) {
     return;
   }
   const net::Request req = std::move(c->parked_req);
@@ -1385,8 +1388,9 @@ void KvServer::RetryParked(Worker& w, Connection* c) {
   // (shard flipped back) keeps accumulating into the same request's wait.
   c->req_park_ns += NowNanos() - c->parked_since_ns;
   parked_ops_.fetch_sub(1, std::memory_order_relaxed);
-  // Re-dispatch; the op may legitimately park again if the shard flipped
-  // back (recovery walk-back), then drain the frames held back behind it.
+  // Re-dispatch; the request may legitimately park again on another cold
+  // shard (a BATCH spanning shards) or if the shard flipped back (recovery
+  // walk-back), then drain the frames held back behind it.
   HandleRequest(c, req);
   if (!c->parked && !c->inbuf.empty()) {
     c->recv_batch_ns = NowNanos();
@@ -1405,17 +1409,22 @@ void KvServer::FailPendingAtShutdown(Worker& w, Connection* c) {
     }
   }
   if (c->parked) {
-    // The parked op never consumed a serial: RECOVERING with serial 0 (for
-    // HELLO: BUSY) tells the client nothing happened — keep the replay
-    // entry and retry after reconnect.
-    PendingResponse entry;
-    entry.ready = true;
-    entry.resp.op = c->parked_req.op;
-    entry.resp.seq = c->parked_req.seq;
-    entry.resp.status = c->parked_req.op == net::Op::kHello
-                            ? net::WireStatus::kBusy
-                            : net::WireStatus::kRecovering;
-    c->queue.push_back(std::move(entry));
+    // The parked request never consumed a serial: RECOVERING with serial 0
+    // (for HELLO: BUSY) tells the client nothing happened — keep the replay
+    // entry and retry after reconnect. A parked BATCH answers each sub-op.
+    const net::Request& parked = c->parked_req;
+    const bool batch = parked.op == net::Op::kBatch;
+    for (size_t i = 0, n = batch ? parked.batch.size() : 1; i < n; ++i) {
+      const net::Request& r = batch ? parked.batch[i] : parked;
+      PendingResponse entry;
+      entry.ready = true;
+      entry.resp.op = r.op;
+      entry.resp.seq = r.seq;
+      entry.resp.status = r.op == net::Op::kHello
+                              ? net::WireStatus::kBusy
+                              : net::WireStatus::kRecovering;
+      c->queue.push_back(std::move(entry));
+    }
     c->parked = false;
     c->parked_req = net::Request();
     parked_ops_.fetch_sub(1, std::memory_order_relaxed);
@@ -1482,8 +1491,8 @@ void KvServer::ReleaseResponses(Connection* c) {
       c->durable_point = point;
     }
   }
-  // Resolves one entry's final status once every gate in its release group
-  // has opened, and records durable-lag for gated acks.
+  // Resolves one entry's final status once its gates have opened, and
+  // records durable-lag for gated acks.
   auto resolve = [&](PendingResponse& e) {
     if (e.token_gate != 0 && token < e.token_gate) {
       // Gate checks already passed: the checkpoint finished without
@@ -1546,25 +1555,25 @@ void KvServer::ReleaseResponses(Connection* c) {
     // frame's last byte — see FlushOut.
     c->write_track.push_back(std::move(t));
   };
+  auto open = [&](const PendingResponse& e) {
+    return e.ready &&
+           !(e.token_gate != 0 && token < e.token_gate &&
+             finished < e.token_gate) &&
+           !(e.durable_gate != 0 && c->durable_point < e.durable_gate &&
+             failures <= e.failures_at_enqueue);
+  };
   while (!c->queue.empty()) {
     PendingResponse& front = c->queue.front();
-    // A BATCH group releases atomically: one response frame once every
-    // member's gates have opened. group == 1 is the plain single-frame path.
-    const size_t group = front.in_batch ? front.batch_size : 1;
-    bool blocked = false;
-    for (size_t i = 0; i < group; ++i) {
-      const PendingResponse& e = c->queue[i];
-      if (!e.ready ||
-          (e.token_gate != 0 && token < e.token_gate &&
-           finished < e.token_gate) ||
-          (e.durable_gate != 0 && c->durable_point < e.durable_gate &&
-           failures <= e.failures_at_enqueue)) {
-        blocked = true;
-        break;
-      }
-    }
-    if (blocked) break;
-    // All gates open: the durable/FIFO wait ends and ack serialize begins.
+    // A BATCH group releases its open prefix — every member, in order,
+    // whose gates have opened — as one response frame; the rest stay queued
+    // as the group's remainder. An op that finished is never held back by a
+    // slower one behind it (a disk read, a later durable gate), exactly as
+    // with plain frames. group == 1 is the plain single-frame path.
+    const size_t whole = front.in_batch ? front.batch_size : 1;
+    size_t group = 0;
+    while (group < whole && open(c->queue[group])) ++group;
+    if (group == 0) break;
+    // The FIFO wait ends and ack serialize begins.
     bool any_traced = false;
     for (size_t i = 0; i < group; ++i) any_traced |= c->queue[i].traced;
     const uint64_t release_ns = any_traced ? NowNanos() : 0;
@@ -1604,6 +1613,11 @@ void KvServer::ReleaseResponses(Connection* c) {
       }
     }
     counters_.responses.fetch_add(group, std::memory_order_relaxed);
+    if (group < whole) {
+      // The remainder's first member now carries the group.
+      c->queue[group].batch_size = static_cast<uint32_t>(whole - group);
+      c->queue[group].batch_seq = front.batch_seq;
+    }
     c->queue.erase(c->queue.begin(), c->queue.begin() + group);
     // Slow-reader hard cap: the peer demonstrably is not draining; close
     // rather than buffer its responses without bound.

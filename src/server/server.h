@@ -74,9 +74,10 @@ struct KvServerOptions {
   // RECOVERING once it is full. When false the caller is expected to run
   // Recover() before Start(), as before.
   bool recover_on_start = false;
-  // Global cap across all connections on ops parked waiting for their shard
-  // (at most one parked op per connection; later frames wait unread in the
-  // connection buffer so per-session serial order is preserved).
+  // Global cap across all connections on requests parked waiting for their
+  // shard (at most one per connection — a lone op or a whole BATCH frame;
+  // later frames wait unread in the connection buffer so per-session serial
+  // order is preserved).
   uint32_t max_parked_ops = 256;
   // Adaptive durability: worker 0 samples the observed workload (read/write
   // mix, durable-lag p99, commit stalls) every interval and queues a live
@@ -142,8 +143,9 @@ class KvServer {
   void ParseFrames(Worker& w, Connection* c);
   void HandleRequest(Connection* c, const net::Request& req);
   void HandleHello(Connection* c, const net::Request& req);
-  // `in_batch` ops never park: a still-restoring shard answers RECOVERING
-  // inline so the batch's response group stays complete and ordered.
+  // `in_batch` marks the entry as a member of its BATCH frame's response
+  // group. A still-restoring shard answers RECOVERING (ParkIfCold already
+  // parked the request when it could).
   void HandleDataOp(Connection* c, const net::Request& req,
                     bool in_batch = false);
   void HandleBatch(Connection* c, const net::Request& req);
@@ -170,9 +172,13 @@ class KvServer {
   void ShutdownDrainSessions(std::vector<kv::Session*> sessions);
   // Instant-restart serving surface.
   void RecoveryMain();                       // background recovery driver
+  // Parks a data op or a whole BATCH frame as one unit when any of its ops
+  // targets a still-restoring shard, fronting that shard's restore. False
+  // when nothing is cold, recovery has concluded, or the parking queue is
+  // full: the request is then served and its cold ops answer RECOVERING.
+  bool ParkIfCold(Connection* c, const net::Request& req);
   bool TryParkRequest(Connection* c, const net::Request& req, uint32_t shard);
-  void RejectRecovering(Connection* c, const net::Request& req,
-                        bool in_batch = false);
+  void RejectRecovering(Connection* c, const net::Request& req, bool in_batch);
   void RetryParked(Worker& w, Connection* c);
   // Shutdown drain for one connection's queued responses: completes what it
   // can without blocking, then fails the rest with an honest status (parked

@@ -46,11 +46,13 @@
 // grouping only*: per-op serials, replay bookkeeping, RECOVERING /
 // NOT_DURABLE / exactly-once semantics are exactly those of the equivalent
 // unbatched frames. The server executes the sub-ops in order as one serial
-// range and answers with one BATCH response once every sub-op can release;
-// with DURABLE acks that means the batch releases when a checkpoint covers
-// its highest update serial (the outer `serial` field reports that maximum
-// covered serial; sub-responses carry their own). Sub-ops whose shard is
-// still restoring are answered RECOVERING inline (a batch never parks).
+// range and answers in order with BATCH responses, each carrying the
+// sub-ops that could release together (one response when they all can at
+// once); with DURABLE acks an update releases when a checkpoint covers its
+// serial (the outer `serial` field reports the maximum covered serial among
+// the carried sub-responses; these carry their own). A batch touching a
+// still-restoring shard parks whole, like a lone op; when it cannot park,
+// its cold sub-ops are answered RECOVERING in place.
 //
 // A TXN request carries a multi-key read/write set executed atomically by a
 // transactional backend. Each op is:

@@ -182,14 +182,18 @@ void CalcEngine::CaptureAndPersist(uint64_t v) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok()) last_durable_version_ = v;
-    last_finished_version_ = v;
     last_checkpoint_status_ = s;
     cb = std::move(callback_);
     callback_ = nullptr;
   }
   state_.store(Pack(false, v + 1), std::memory_order_seq_cst);
-  durable_cv_.notify_all();
   if (cb) cb(v, s, meta.points);
+  // Waiters wake after the callback, as in CprEngine.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_finished_version_ = v;
+  }
+  durable_cv_.notify_all();
 }
 
 Status CalcEngine::WaitForCommit(uint64_t version) {

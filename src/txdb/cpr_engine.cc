@@ -250,7 +250,6 @@ void CprEngine::CaptureAndPersist(uint64_t v) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok()) last_durable_version_ = v;
-    last_finished_version_ = v;
     last_checkpoint_status_ = s;
     cb = std::move(callback_);
     callback_ = nullptr;
@@ -260,11 +259,18 @@ void CprEngine::CaptureAndPersist(uint64_t v) {
   phase_start_ns_.store(0, std::memory_order_relaxed);  // round over
   // Conclude the commit: back to rest at version v+1.
   state_.store(Pack(DbPhase::kRest, v + 1), std::memory_order_release);
-  durable_cv_.notify_all();
   // The callback fires on failure too: a durable-ack serving layer must
   // learn the commit concluded without durability, or it would gate
   // responses on a version that never arrives.
   if (cb) cb(v, s, meta.points);
+  // Waiters wake after the callback: WaitForCommit returning means the
+  // callback has run. Commits conclude one at a time on this thread, so the
+  // finished version still only moves forward.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_finished_version_ = v;
+  }
+  durable_cv_.notify_all();
 }
 
 Status CprEngine::WaitForCommit(uint64_t version) {

@@ -180,9 +180,12 @@ TxnResult TransactionalDb::Execute(ThreadContext& ctx,
 
 void TransactionalDb::Refresh(ThreadContext& ctx) {
   // Order matters: thread-local phase transitions happen before the epoch
-  // publish, so that "epoch safe" implies "every thread transitioned".
+  // publish, so that "epoch safe" implies "every thread transitioned". The
+  // published epoch is the one read before OnRefresh looked at the phase,
+  // so a bump landing in between is not acknowledged unseen.
+  const uint64_t observed = epoch_.current_epoch();
   active_engine_.load(std::memory_order_acquire)->OnRefresh(ctx);
-  epoch_.RefreshSlot(ctx.epoch_slot);
+  epoch_.RefreshSlot(ctx.epoch_slot, observed);
 }
 
 uint64_t TransactionalDb::RequestCommit(CommitCallback callback) {

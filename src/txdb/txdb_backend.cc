@@ -700,8 +700,9 @@ Status TxDbBackend::WaitForCheckpoint(uint64_t token) {
     version = it->second.version;
   }
   // The engine-level wait carries the no-progress detection (nobody
-  // refreshing -> error, not a hang). Its wakeup can slightly precede the
-  // commit callback, so wait for the round to be marked finished after.
+  // refreshing -> error, not a hang). Under the WAL engine its wakeup can
+  // precede the commit callback, so wait for the round to be marked
+  // finished after.
   const Status ws = db_.WaitForCommit(version);
   if (ws.code() == Status::Code::kAborted ||
       ws.code() == Status::Code::kInvalidArgument) {

@@ -37,8 +37,8 @@ inline uint32_t ThisThreadSlot() {
   return slot;
 }
 
-// Plain-data log2-bucketed histogram snapshot (mergeable; mirrors
-// util/histogram.h bucketing so single-writer and sharded histograms agree).
+// Plain-data log2-bucketed histogram: a HistogramMetric snapshot, and the
+// mergeable single-writer histogram the benchmarks record into directly.
 struct HistogramData {
   std::array<uint64_t, 65> buckets{};
   uint64_t sum = 0;

@@ -258,6 +258,28 @@ TEST(CertifyChecker, PhantomTxnReadIsUnjustified) {
   ASSERT_TRUE(HasCode(vs, Violation::Code::kUnjustifiedRead)) << Describe(vs);
 }
 
+// A committed TXN's ack must carry its read results...
+TEST(CertifyChecker, CommittedTxnWithoutReadsIsBadHistory) {
+  Scenario s = MakeScenario();
+  s.histories[0].events[4].op.txn_reads.clear();
+  const auto vs = Check(s);
+  ASSERT_TRUE(HasCode(vs, Violation::Code::kBadHistory)) << Describe(vs);
+}
+
+// ...but a NOT_DURABLE ack (a durable-gated TXN released at server
+// shutdown) carries none on the wire. Its effects still count.
+TEST(CertifyChecker, NotDurableTxnCarriesNoReads) {
+  Scenario s = MakeScenario();
+  auto& txn = s.histories[0].events[4].op;
+  txn.status = WireStatus::kNotDurable;
+  txn.txn_reads.clear();
+  auto vs = Check(s);
+  EXPECT_TRUE(vs.empty()) << Describe(vs);
+  SetRow(&s.final_state, 12, Value(0));  // its write must still be there
+  vs = Check(s);
+  ASSERT_TRUE(HasCode(vs, Violation::Code::kStateMismatch)) << Describe(vs);
+}
+
 // Mutation 3 (effectful "neutralized" conflict): a TXN the server reported
 // as TXN_CONFLICT must contribute nothing; if its target row diverges, the
 // mismatch is attributed to the conflict.

@@ -62,6 +62,23 @@ TEST(EpochTest, ActionWaitsForProtectedThread) {
   epoch.Release();
 }
 
+// A slot that read the epoch before looking at its state publishes that
+// value: a bump landing in between stays unacknowledged until the slot's
+// next refresh, because the slot never saw what the bump announced.
+TEST(EpochTest, RefreshSlotPublishesTheObservedEpoch) {
+  EpochFramework epoch;
+  const int32_t slot = epoch.AcquireSlot();
+  ASSERT_GE(slot, 0);
+  const uint64_t observed = epoch.current_epoch();
+  std::atomic<bool> ran{false};
+  epoch.BumpEpoch([&] { ran = true; });
+  EXPECT_EQ(epoch.RefreshSlot(slot, observed), observed);
+  EXPECT_FALSE(ran.load());
+  epoch.RefreshSlot(slot);
+  EXPECT_TRUE(ran.load());
+  epoch.ReleaseSlot(slot);
+}
+
 TEST(EpochTest, ActionRunsExactlyOnce) {
   EpochFramework epoch;
   epoch.Acquire();

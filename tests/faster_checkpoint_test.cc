@@ -3,12 +3,14 @@
 #include "test_dirs.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "faster/faster.h"
+#include "io/fault_injection.h"
 
 namespace cpr::faster {
 namespace {
@@ -313,6 +315,64 @@ TEST(CheckpointTest, StandaloneIndexCheckpointSupportsLogOnlyCommits) {
   Session* s = kv.StartSession();
   for (uint64_t k = 0; k < 100; ++k) {
     EXPECT_EQ(ReadOrDie(kv, *s, k), 4);
+  }
+  kv.StopSession(s);
+}
+
+// A standalone index checkpoint still being written when the next commit
+// starts makes that commit write its own index image too. When the older
+// image lands last, the commit must still see its own image as complete
+// (the completed-index token only moves forward) instead of waiting
+// forever for a token the older write overwrote.
+TEST(CheckpointTest, IndexWritesCompletingOutOfOrderStillCommit) {
+  const std::string dir = FreshDir();
+  // The standalone image lands 300 ms late, after the commit's own image;
+  // the commit's log flush lands later still, so the commit is still
+  // waiting when the older image completes.
+  FaultInjector inj;
+  FaultRule slow;
+  slow.any_op = false;
+  slow.op = FaultOp::kWrite;
+  slow.path_substr = "/index.";
+  slow.nth = 1;  // only the standalone image's first write
+  slow.action = FaultAction::kNone;
+  slow.delay_ms = 300;
+  inj.AddRule(slow);
+  slow.path_substr = "/hlog.dat";
+  slow.delay_ms = 600;
+  inj.AddRule(slow);
+  FaultInjector::Install(&inj);
+  {
+    FasterKv kv(BaseOptions(dir));
+    Session* s = kv.StartSession();
+    for (uint64_t k = 0; k < 100; ++k) {
+      const int64_t v = 5;
+      kv.Upsert(*s, k, &v);
+    }
+    ASSERT_TRUE(kv.CheckpointIndex());
+    ASSERT_TRUE(kv.Checkpoint(CommitVariant::kFoldOver,
+                              /*include_index=*/false));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (kv.CheckpointInProgress() &&
+           std::chrono::steady_clock::now() < deadline) {
+      kv.Refresh(*s);
+    }
+    const bool committed = !kv.CheckpointInProgress();
+    FaultInjector::Install(nullptr);
+    if (!committed) {
+      // Leave the store without stopping the session: teardown must not
+      // wait on the wedged checkpoint.
+      FAIL() << "checkpoint still in progress 5 s after the index writes";
+    }
+    kv.StopSession(s);
+  }
+  FaultInjector::Install(nullptr);
+  FasterKv kv(BaseOptions(dir));
+  ASSERT_TRUE(kv.Recover().ok());
+  Session* s = kv.StartSession();
+  for (uint64_t k = 0; k < 100; ++k) {
+    EXPECT_EQ(ReadOrDie(kv, *s, k), 5);
   }
   kv.StopSession(s);
 }

@@ -5,9 +5,12 @@
 #include "test_dirs.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "util/hash.h"
 
 namespace cpr::faster {
 namespace {
@@ -176,6 +179,80 @@ TEST(FasterKvTest, RmwOnDiskResidentKey) {
     kv.CompletePending(*s, true);
   }
   EXPECT_EQ(out, 10);
+  kv.StopSession(s);
+}
+
+// Two keys sharing a bucket and tag share one index entry and one record
+// chain. With both records on disk, reaching the older key takes two disk
+// hops: the newer key's record (a key mismatch), then the older one. The
+// retry after the second read must continue from that deeper record, not
+// re-read the first hop.
+TEST(FasterKvTest, TwoHopDiskChainCompletes) {
+  FasterKv::Options o = SmallOptions(FreshDir());
+  o.page_bits = 12;
+  o.memory_pages = 6;
+  FasterKv kv(o);
+  const uint64_t mask = o.index_buckets - 1;
+  auto entry_of = [mask](uint64_t key) {
+    const uint64_t h = Hash64(key);
+    return std::make_pair(h & mask, (h >> 48) & ((uint64_t{1} << 14) - 1));
+  };
+  constexpr uint64_t kOlder = 1;
+  uint64_t newer = kOlder + 1;
+  while (entry_of(newer) != entry_of(kOlder)) ++newer;
+
+  Session* s = kv.StartSession();
+  int64_t v = 11;
+  ASSERT_EQ(kv.Upsert(*s, kOlder, &v), OpStatus::kOk);
+  v = 22;
+  ASSERT_EQ(kv.Upsert(*s, newer, &v), OpStatus::kOk);
+  // Push both records to disk with filler traffic on other entries.
+  for (uint64_t k = 1000; k < 5000; ++k) {
+    if (entry_of(k) == entry_of(kOlder)) continue;
+    v = 0;
+    ASSERT_EQ(kv.Upsert(*s, k, &v), OpStatus::kOk);
+  }
+
+  int64_t read_value = -1;
+  s->set_async_callback([&](const AsyncResult& r) {
+    if (r.kind == OpKind::kRead && r.found) read_value = V(r.value.data());
+  });
+  // Bounded completion: a livelocked chain walk must fail the test, not
+  // hang it.
+  auto complete = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (s->pending_count() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      kv.CompletePending(*s);
+    }
+    return s->pending_count() == 0;
+  };
+  int64_t out = 0;
+  ASSERT_EQ(kv.Read(*s, kOlder, &out), OpStatus::kPending);
+  ASSERT_TRUE(complete()) << "read of the older key never completed";
+  EXPECT_EQ(read_value, 11);
+
+  OpStatus st = kv.Rmw(*s, kOlder, 5);
+  if (st == OpStatus::kPending) {
+    ASSERT_TRUE(complete()) << "RMW of the older key never completed";
+  } else {
+    ASSERT_EQ(st, OpStatus::kOk);
+  }
+  read_value = -1;
+  st = kv.Read(*s, kOlder, &out);
+  if (st == OpStatus::kPending) {
+    ASSERT_TRUE(complete());
+    out = read_value;
+  }
+  EXPECT_EQ(out, 16);
+  read_value = -1;
+  st = kv.Read(*s, newer, &out);
+  if (st == OpStatus::kPending) {
+    ASSERT_TRUE(complete());
+    out = read_value;
+  }
+  EXPECT_EQ(out, 22);
   kv.StopSession(s);
 }
 

@@ -1006,21 +1006,15 @@ TEST(ServerE2E, StatsHealthAndBreakdownRoundTrip) {
 
 // -- BATCH frames end to end --------------------------------------------------
 
-// Batching is transport-level only: the same pipelined workload, coalesced
-// into BATCH frames, must produce byte-for-byte the same results, order, and
-// serials as the unbatched run — and far fewer wire frames.
+// Batching is transport-level only: a pipelined workload, coalesced into
+// BATCH frames, must keep per-op results, order, and serials.
 TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
   FasterKv kv(SmallOptions(FreshDir()));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
-  CprClient::Options copts = ClientOptions(server.port());
-  copts.batch = true;
-  copts.batch_max_ops = 32;
-  copts.adaptive_window = true;
-  CprClient c(copts);
+  CprClient c(ClientOptions(server.port()));
   ASSERT_TRUE(c.Connect().ok());
-  EXPECT_GE(c.target_window(), 16u);
 
   constexpr int kOps = 4000;  // also an ack-burst drain regression: one
                               // Drain consumes thousands of buffered frames
@@ -1028,7 +1022,11 @@ TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
   for (int i = 0; i < 16; ++i) c.EnqueueRead(i);
   c.EnqueueRead(99999);  // miss inside a batch: per-op NOT_FOUND status
   ASSERT_TRUE(c.Flush().ok());
+  // One response frame answers a whole BATCH frame: asking for a single
+  // result delivers every sub-response of the first frame.
   std::vector<CprClient::Result> results;
+  ASSERT_TRUE(c.Drain(&results, 1).ok());
+  EXPECT_EQ(results.size(), static_cast<size_t>(CprClient::kBatchMaxOps));
   ASSERT_TRUE(c.Drain(&results).ok());
   ASSERT_EQ(results.size(), static_cast<size_t>(kOps + 17));
 
@@ -1051,14 +1049,13 @@ TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
 
   c.Close();
   server.Stop();
-  // The server counted every sub-op as a request, answered all of them, and
-  // did it over far fewer response frames than requests (batching worked).
+  // The server counted every sub-op as a request and answered all of them.
   const auto counters = server.counters();
   EXPECT_GE(counters.requests, static_cast<uint64_t>(kOps + 17));
   EXPECT_EQ(counters.requests, counters.responses);
 }
 
-// The headline crash story with batching forced on: durably-acked prefix
+// The headline crash story over BATCH frames: the durably-acked prefix
 // survives, the unacked suffix replays (as BATCH frames) exactly once.
 TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   const std::string dir = FreshDir();
@@ -1075,8 +1072,6 @@ TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   copts.ack_mode = net::AckMode::kDurable;
   copts.recv_timeout_ms = 2'000;
   copts.port = port;
-  copts.batch = true;
-  copts.batch_max_ops = 16;
   CprClient c(copts);
   ASSERT_TRUE(c.Connect().ok());
   const uint64_t guid = c.guid();
@@ -1120,6 +1115,141 @@ TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
         << "key " << k;
   }
 
+  c.Close();
+  server.Stop();
+}
+
+// Instant restart with a pipelined burst: the burst travels as BATCH frames,
+// and a frame touching a still-restoring shard parks whole, exactly as a
+// lone op does, so no op answers RECOVERING. Once the shards are restored
+// every op applies exactly once.
+TEST(ServerE2E, InstantRestartParksPipelinedBurst) {
+  const std::string dir = FreshDir();
+  constexpr uint32_t kShards = 4;
+  constexpr uint64_t kKeys = 16;
+
+  auto kv1 = std::make_unique<kv::ShardedKv>(ShardedOptions(dir, kShards));
+  auto server1 = std::make_unique<KvServer>(kv1.get(), ServerOptions());
+  ASSERT_TRUE(server1->Start().ok());
+  const uint16_t port = server1->port();
+  CprClient c(ClientOptions(port));
+  ASSERT_TRUE(c.Connect().ok());
+  for (uint64_t k = 0; k < kKeys; ++k) c.EnqueueRmw(k, 1);
+  ASSERT_TRUE(c.Flush().ok());
+  ASSERT_TRUE(c.Drain(nullptr).ok());
+  uint64_t commit = 0;
+  ASSERT_TRUE(c.Checkpoint(nullptr, &commit, /*snapshot=*/false,
+                           /*include_index=*/true).ok());
+  ASSERT_EQ(commit, kKeys);
+  server1->Stop();
+  server1.reset();
+  kv1.reset();
+
+  // Every shard-data read stalls, and one recovery worker restores the
+  // shards one by one, so the burst below meets cold shards. The manifest
+  // read that pins the commit point stays fast, so HELLO installs promptly.
+  InjectorScope fi;
+  FaultRule slow;
+  slow.any_op = false;
+  slow.op = FaultOp::kRead;
+  slow.path_substr = "/shard-";
+  slow.nth = 1;
+  slow.sticky = true;
+  slow.action = FaultAction::kNone;
+  slow.delay_ms = 50;
+  fi.inj.AddRule(slow);
+
+  kv::ShardedKv::Options sopts = ShardedOptions(dir, kShards);
+  sopts.recovery_workers = 1;
+  kv::ShardedKv kv(sopts);
+  KvServerOptions ropts = ServerOptions(port);
+  ropts.recover_on_start = true;
+  KvServer server(&kv, ropts);
+  ASSERT_TRUE(server.Start().ok());
+  CprClient::Options copts = ClientOptions(port);
+  copts.recv_timeout_ms = 20'000;
+  CprClient c2(copts);
+  ASSERT_TRUE(c2.Connect().ok());
+
+  constexpr int kRounds = 4;
+  for (int r = 0; r < kRounds; ++r) {
+    for (uint64_t k = 0; k < kKeys; ++k) c2.EnqueueRmw(k, 1);
+  }
+  ASSERT_TRUE(c2.Flush().ok());
+  std::vector<CprClient::Result> results;
+  ASSERT_TRUE(c2.Drain(&results).ok());
+  ASSERT_EQ(results.size(), kRounds * kKeys);
+  for (const auto& r : results) EXPECT_EQ(r.status, net::WireStatus::kOk);
+  EXPECT_EQ(c2.stats().recovering_rejections, 0u);
+
+  fi.inj.Reset();
+  ASSERT_TRUE(kv.WaitForRecovery().ok());
+  const auto counters = server.counters();
+  EXPECT_GT(counters.ops_parked, 0u);
+  EXPECT_EQ(counters.recovering_rejections, 0u);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    bool found = false;
+    const int64_t v = ReadValue(c2, k, &found);
+    ASSERT_TRUE(found) << "key " << k;
+    EXPECT_EQ(v, 1 + kRounds) << "key " << k;  // exactly once
+  }
+  c2.Close();
+  server.Stop();
+}
+
+// A BATCH frame's finished ops answer without waiting for a slower one
+// behind them: the in-memory reads ahead of a stalled disk read arrive in
+// their own response frame while the disk read is still in flight.
+TEST(ServerE2E, BatchedAcksAreNotHeldBehindADiskRead) {
+  FasterKv::Options o = SmallOptions(FreshDir());
+  o.page_bits = 12;
+  o.memory_pages = 6;
+  FasterKv kv(o);
+  constexpr uint64_t kKeys = 4000;
+  {
+    faster::Session* s = kv.StartSession();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      const int64_t v = static_cast<int64_t>(k);
+      ASSERT_EQ(kv.Upsert(*s, k, &v), faster::OpStatus::kOk);
+    }
+    // Key 1 is on disk, so the older key 0 is too.
+    int64_t out = 0;
+    ASSERT_EQ(kv.Read(*s, 1, &out), faster::OpStatus::kPending);
+    kv.CompletePending(*s, /*wait_for_all=*/true);
+    kv.StopSession(s);
+  }
+  KvServer server(&kv, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  CprClient::Options copts = ClientOptions(server.port());
+  copts.recv_timeout_ms = 10'000;
+  CprClient c(copts);
+  ASSERT_TRUE(c.Connect().ok());
+
+  InjectorScope fi;
+  FaultRule slow;
+  slow.any_op = false;
+  slow.op = FaultOp::kRead;
+  slow.path_substr = "hlog";
+  slow.nth = 1;
+  slow.action = FaultAction::kNone;
+  slow.delay_ms = 1000;
+  fi.inj.AddRule(slow);
+
+  constexpr int kHot = 8;
+  for (int i = 0; i < kHot; ++i) c.EnqueueRead(kKeys - 1 - i);
+  c.EnqueueRead(0);  // on disk: its read stalls for a second
+  ASSERT_TRUE(c.Flush().ok());
+  std::vector<CprClient::Result> results;
+  ASSERT_TRUE(c.Drain(&results, 1).ok());
+  ASSERT_EQ(results.size(), static_cast<size_t>(kHot));
+  ASSERT_TRUE(c.Drain(&results).ok());
+  ASSERT_EQ(results.size(), static_cast<size_t>(kHot + 1));
+  for (int i = 0; i <= kHot; ++i) {
+    ASSERT_EQ(results[i].status, net::WireStatus::kOk) << i;
+    int64_t v = -1;
+    std::memcpy(&v, results[i].value.data(), sizeof(v));
+    EXPECT_EQ(v, i < kHot ? static_cast<int64_t>(kKeys - 1 - i) : 0) << i;
+  }
   c.Close();
   server.Stop();
 }
@@ -1264,14 +1394,36 @@ TEST(ServerE2E, SendAllSurvivesFullSendBufferStall) {
     // exhausts its send buffer, times out inside send(), and sits in the
     // POLLOUT wait when draining starts.
     std::this_thread::sleep_for(std::chrono::milliseconds(900));
-    size_t drained = 0;
+    std::vector<char> in;
     while (true) {
       const ssize_t n = ::recv(cfd, buf, sizeof(buf), 0);
       if (n <= 0) break;
-      drained += static_cast<size_t>(n);
+      in.insert(in.end(), buf, buf + n);
     }
-    // Every byte of the burst arrived: 8000 RMW frames, 25 bytes each.
-    EXPECT_EQ(drained, static_cast<size_t>(kOps) * 25);
+    // Every op of the burst arrived, in order, packed into BATCH frames:
+    // far fewer frames than ops.
+    size_t off = 0;
+    size_t frames = 0;
+    uint64_t next_key = 0;
+    while (off < in.size()) {
+      std::string_view payload;
+      size_t consumed = 0;
+      ASSERT_EQ(net::TryExtractFrame(in.data() + off, in.size() - off,
+                                     &payload, &consumed),
+                net::FrameResult::kFrame);
+      net::Request req;
+      ASSERT_TRUE(net::DecodeRequest(payload, &req));
+      ASSERT_EQ(req.op, net::Op::kBatch);
+      for (const net::Request& sub : req.batch) {
+        EXPECT_EQ(sub.op, net::Op::kRmw);
+        EXPECT_EQ(sub.key, next_key++);
+      }
+      off += consumed;
+      ++frames;
+    }
+    EXPECT_EQ(next_key, static_cast<uint64_t>(kOps));
+    EXPECT_EQ(frames, (kOps + CprClient::kBatchMaxOps - 1) /
+                          CprClient::kBatchMaxOps);
     ::close(cfd);
   });
 

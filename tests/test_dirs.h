@@ -13,25 +13,22 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "util/scratch_dirs.h"
 
 namespace cpr::testing {
 
 class ScratchDirs {
  public:
-  static ScratchDirs& Instance() {
-    static ScratchDirs dirs;
-    return dirs;
-  }
-
   // Returns a fresh, existing, empty directory named after the currently
-  // running test. Safe to call concurrently.
-  std::string Fresh(const std::string& prefix) {
+  // running test (and, through the registry, the process id, so parallel
+  // runs of one test binary never share a store). Safe to call
+  // concurrently; removed when the binary exits, after all test fixtures
+  // (and the stores they own) are destroyed.
+  static std::string Fresh(const std::string& prefix) {
     std::string name = "global";
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
@@ -43,23 +40,11 @@ class ScratchDirs {
     for (char& c : name) {
       if (c == '/' || c == '.') c = '_';
     }
-    std::string dir = Base() + "/" + prefix + "_" + name + "_" +
-                      std::to_string(counter_.fetch_add(1));
+    const std::string dir =
+        ScratchDirRegistry::Instance().Fresh(Base(), prefix + "_" + name);
     std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
     std::filesystem::create_directories(dir, ec);
-    std::lock_guard<std::mutex> lock(mu_);
-    created_.push_back(dir);
     return dir;
-  }
-
-  // Teardown: remove everything this binary created. Runs at process exit,
-  // after all test fixtures (and the stores they own) are destroyed.
-  ~ScratchDirs() {
-    for (const std::string& dir : created_) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
   }
 
  private:
@@ -73,14 +58,10 @@ class ScratchDirs {
     return "cpr_test_scratch";
 #endif
   }
-
-  std::atomic<int> counter_{0};
-  std::mutex mu_;
-  std::vector<std::string> created_;
 };
 
 inline std::string FreshTestDir(const std::string& prefix) {
-  return ScratchDirs::Instance().Fresh(prefix);
+  return ScratchDirs::Fresh(prefix);
 }
 
 }  // namespace cpr::testing

@@ -152,8 +152,9 @@ TEST(CprCommitTest, CallbackReportsPerThreadPoints) {
 
 // The core CPR guarantee (Definition 1): for every thread, the snapshot
 // contains exactly the transactions before its commit point. Each thread
-// increments its own row by 1 per transaction, so the recovered row value
-// must equal the reported per-thread serial.
+// increments its own row (indexed by its registered thread id) by 1 per
+// transaction, so the recovered row value must equal the reported
+// per-thread serial.
 TEST(CprConsistencyTest, RecoveredStateMatchesPerThreadPointsExactly) {
   const std::string dir = FreshDir();
   constexpr int kThreads = 4;
@@ -165,11 +166,12 @@ TEST(CprConsistencyTest, RecoveredStateMatchesPerThreadPointsExactly) {
     std::atomic<bool> commit_done{false};
     std::vector<std::thread> workers;
     for (int w = 0; w < kThreads; ++w) {
-      workers.emplace_back([&, w] {
+      workers.emplace_back([&] {
         ThreadContext* ctx = db.RegisterThread();
         Transaction txn;
-        txn.ops.push_back(
-            TxnOp{t, OpType::kAdd, static_cast<uint64_t>(w), nullptr, 1});
+        txn.ops.push_back(TxnOp{t, OpType::kAdd,
+                                static_cast<uint64_t>(ctx->thread_id),
+                                nullptr, 1});
         int n = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           db.Execute(*ctx, txn);

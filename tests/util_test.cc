@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "util/hash.h"
-#include "util/histogram.h"
 #include "util/instrumentation.h"
 #include "util/latch.h"
 #include "util/random.h"
+#include "util/sharded_histogram.h"
 #include "util/status.h"
 
 namespace cpr {
@@ -179,27 +179,28 @@ TEST(HashTest, Deterministic) {
 }
 
 TEST(HistogramTest, MeanAndCount) {
-  Histogram h;
+  HistogramData h;
   h.Add(100);
   h.Add(300);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.MeanNs(), 200.0);
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_DOUBLE_EQ(h.Mean(), 200.0);
 }
 
 TEST(HistogramTest, QuantilesAreOrdered) {
-  Histogram h;
+  HistogramData h;
   for (uint64_t i = 1; i <= 1000; ++i) h.Add(i);
-  EXPECT_LE(h.QuantileNs(0.5), h.QuantileNs(0.99));
-  EXPECT_GE(h.QuantileNs(0.99), 512u);  // p99 of 1..1000 is ~990
+  EXPECT_LE(h.Quantile(0.5), h.Quantile(0.99));
+  EXPECT_GE(h.Quantile(0.99), 512u);  // p99 of 1..1000 is ~990
+  EXPECT_EQ(h.Quantile(1.0), 1024u);  // the max sample's bucket, not 2^63
 }
 
 TEST(HistogramTest, MergeAccumulates) {
-  Histogram a, b;
+  HistogramData a, b;
   a.Add(10);
   b.Add(20);
   a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.MeanNs(), 15.0);
+  EXPECT_EQ(a.count, 2u);
+  EXPECT_DOUBLE_EQ(a.Mean(), 15.0);
 }
 
 TEST(BreakdownCountersTest, AdditionAggregates) {
