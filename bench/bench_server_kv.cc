@@ -7,9 +7,10 @@
 // epochs (TryDrain) instead of draining synchronously, and the run reports
 // the execute->durable latency histogram (p50/p99/max).
 //
-// With --shards=N (or CPR_BENCH_SHARDS) the server fronts a ShardedKv over N
-// FasterKv instances with coordinated cross-shard checkpoints; the report
-// adds per-shard op counts and the coordinated-round cadence.
+// The server fronts a ShardedKv over --shards=N (or CPR_BENCH_SHARDS; default
+// 1, a single store) FasterKv instances with coordinated checkpoints; with
+// more than one shard the report adds per-shard op counts and the
+// coordinated-round cadence.
 //
 // With --crash-restart the benchmark instead measures instant restart:
 // preload + checkpoint a multi-shard store, tear it down ("power loss"),
@@ -42,7 +43,6 @@
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "server/server.h"
-#include "shard/faster_backend.h"
 #include "shard/sharded_kv.h"
 
 namespace cpr::bench {
@@ -93,15 +93,10 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   fo.dir = FreshBenchDir("srv");
   fo.index_buckets = 1ull << 16;
 
-  std::unique_ptr<kv::Backend> backend;
-  if (shards > 1) {
-    kv::ShardedKv::Options so;
-    so.base = fo;
-    so.num_shards = shards;
-    backend = std::make_unique<kv::ShardedKv>(so);
-  } else {
-    backend = std::make_unique<kv::FasterBackend>(fo);
-  }
+  kv::ShardedKv::Options ko;
+  ko.base = fo;
+  ko.num_shards = shards;
+  auto backend = std::make_unique<kv::ShardedKv>(ko);
 
   server::KvServerOptions so;
   so.num_workers = workers;
@@ -228,13 +223,13 @@ void PrintResult(const char* label, const NetRunResult& r, double seconds) {
       static_cast<double>(c.bytes_out) / 1e6);
   std::printf("    peak pipeline depth: %llu\n",
               static_cast<unsigned long long>(r.max_inflight));
-  if (c.durable_lag_max_ns > 0) {
+  if (c.durable_lag.max > 0) {
     std::printf(
         "    durable lag: p50=%.2fms p99=%.2fms max=%.2fms  "
         "(peak pipeline depth %llu)\n",
         static_cast<double>(c.durable_lag.Quantile(0.5)) / 1e6,
         static_cast<double>(c.durable_lag.Quantile(0.99)) / 1e6,
-        static_cast<double>(c.durable_lag_max_ns) / 1e6,
+        static_cast<double>(c.durable_lag.max) / 1e6,
         static_cast<unsigned long long>(r.max_inflight));
   }
   if (!r.shard_ops.empty()) {
@@ -313,7 +308,7 @@ void WriteStatsJson(const char* path, uint32_t shards, uint32_t workers,
         static_cast<unsigned long long>(r.rounds),
         static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
         static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
-        static_cast<unsigned long long>(c.durable_lag_max_ns));
+        static_cast<unsigned long long>(c.durable_lag.max));
     for (int p = 0; p < 4; ++p) {
       std::fprintf(f, "%s\"%s\": %llu", p == 0 ? "" : ", ",
                    ServerCounters::kCheckpointPhaseNames[p],

@@ -432,13 +432,13 @@ void PrintResult(const char* label, const TxnRunResult& r, uint32_t txn_ops) {
           ? 100.0 * static_cast<double>(r.conflicts) /
                 static_cast<double>(r.total_txns)
           : 0.0);
-  if (c.durable_lag_max_ns > 0) {
+  if (c.durable_lag.max > 0) {
     std::printf(
         "    durable lag: p50=%.2fms p99=%.2fms max=%.2fms  "
         "(peak pipeline depth %llu)\n",
         static_cast<double>(c.durable_lag.Quantile(0.5)) / 1e6,
         static_cast<double>(c.durable_lag.Quantile(0.99)) / 1e6,
-        static_cast<double>(c.durable_lag_max_ns) / 1e6,
+        static_cast<double>(c.durable_lag.max) / 1e6,
         static_cast<unsigned long long>(r.max_inflight));
   }
   if (r.e2e_hist.count > 0) {
@@ -494,7 +494,7 @@ void WriteStatsJson(const char* path, uint32_t workers, uint32_t clients,
         static_cast<unsigned long long>(c.not_durable_acks),
         static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
         static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
-        static_cast<unsigned long long>(c.durable_lag_max_ns));
+        static_cast<unsigned long long>(c.durable_lag.max));
     for (uint32_t s = 0; s < obs::kNumReqStages; ++s) {
       const obs::HistogramData& h = r.stage_hist[s];
       std::fprintf(

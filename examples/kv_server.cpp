@@ -1,8 +1,8 @@
-// Standalone CPR KV server: exposes a FasterKv instance — or, with
-// --shards=N, a ShardedKv hash-partitioned over N FasterKv instances with
-// coordinated cross-shard checkpoints; or, with --txdb, a TransactionalDb
-// serving both single-key KV ops and multi-key TXN requests — over TCP using
-// the length-prefixed wire protocol (src/server/wire.h).
+// Standalone CPR KV server: exposes a ShardedKv hash-partitioned over
+// --shards=N FasterKv instances (default 1: a single store) with
+// coordinated checkpoints — or, with --txdb, a TransactionalDb serving both
+// single-key KV ops and multi-key TXN requests — over TCP using the
+// length-prefixed wire protocol (src/server/wire.h).
 //
 //   kv_server --port 7777 --dir /tmp/cpr_kv --workers 4 --checkpoint-ms 500
 //   kv_server --port 7777 --dir /tmp/cpr_kv --shards 4 --checkpoint-ms 500
@@ -11,9 +11,9 @@
 // Clients bind durable CPR sessions (HELLO guid), pipeline operations, and
 // can request checkpoints / query their commit point. Restart with
 // --recover after a crash: reconnecting clients learn their recovered
-// commit point and replay everything after it. In sharded mode a durable
-// ack means a cross-shard manifest covering the op is persisted, and
-// recovery restores every shard to the newest complete manifest.
+// commit point and replay everything after it. A durable ack means a
+// manifest covering the op is persisted (<dir>/shard-<i> holds each shard),
+// and recovery restores every shard to the newest complete manifest.
 //
 // --instant replaces the blocking recovery with instant restart: the
 // listener is up immediately, shards restore in the background on demand,
@@ -33,7 +33,6 @@
 #include "durability/provider.h"
 #include "faster/faster.h"
 #include "server/server.h"
-#include "shard/faster_backend.h"
 #include "shard/sharded_kv.h"
 #include "txdb/txdb_backend.h"
 
@@ -179,19 +178,17 @@ int main(int argc, char** argv) {
     to.db.mode = cpr::txdb::ProviderKindToMode(provider_kind);
     to.tables = {cpr::txdb::TxDbBackend::TableSpec{rows, value_size}};
     backend = std::make_unique<cpr::txdb::TxDbBackend>(std::move(to));
-  } else if (shards > 1) {
+  } else {
     cpr::kv::ShardedKv::Options so;
     so.base = fo;
     so.num_shards = shards;
     backend = std::make_unique<cpr::kv::ShardedKv>(so);
-  } else {
-    backend = std::make_unique<cpr::kv::FasterBackend>(fo);
   }
   if (recover && !instant) {
     const cpr::Status s = backend->Recover();
     if (s.ok()) {
       std::printf("recovered from latest %s in %s\n",
-                  shards > 1 ? "cross-shard manifest" : "checkpoint",
+                  shards > 1 ? "cross-shard manifest" : "manifest",
                   dir.c_str());
     } else if (s.code() == cpr::Status::Code::kNotFound) {
       std::printf("no checkpoint in %s, starting fresh\n", dir.c_str());

@@ -542,6 +542,7 @@ OpStatus FasterKv::DriveFreshOp(Session& session, PendingOp& op,
   ++session.serial_;
   op.serial = session.serial_;
   session.inflight_serial_ = op.serial;
+  bool stalled = false;
   while (true) {
     if (!op.holds_latch) op.version = session.version_;
     const OpOutcome oc = TryOp(session, op, /*fresh=*/true, read_out);
@@ -552,8 +553,20 @@ OpStatus FasterKv::DriveFreshOp(Session& session, PendingOp& op,
       case OpOutcome::kNotFound:
         session.inflight_serial_ = 0;
         return OpStatus::kNotFound;
-      case OpOutcome::kShift:
       case OpOutcome::kAllocStall:
+        // A rollover that this session's refresh did not clear waits on
+        // other sessions' epochs (or a snapshot's pin), and those sessions
+        // may be driven by this very thread: park the op on the retry path
+        // so the caller's loop refreshes them; CompletePending retries it.
+        // Only a flush already in flight is waited out here.
+        if (stalled && !hlog_->StallAwaitsOnlyFlush()) {
+          session.inflight_serial_ = 0;
+          ParkOp(session, op);
+          return OpStatus::kPending;
+        }
+        stalled = true;
+        [[fallthrough]];
+      case OpOutcome::kShift:
         // The refresh may cross the version boundary; inflight_serial_
         // keeps this half-executed operation out of the commit point (it
         // re-runs as a (v+1) operation).
@@ -689,13 +702,6 @@ size_t FasterKv::CompletePending(Session& session, bool wait_for_all) {
     std::this_thread::yield();
   }
   return completed;
-}
-
-void FasterKv::AdvanceSerial(Session& session, uint64_t serial) {
-  // Forward-only, owning-thread only. There is never an operation inline
-  // (inflight_serial_ == 0), so the next version crossing simply reads the
-  // advanced serial as this session's commit point.
-  if (serial > session.serial_) session.serial_ = serial;
 }
 
 // -- Epoch / state-machine synchronization ----------------------------------

@@ -212,8 +212,13 @@ class FasterKv {
   // store's per-session commit point in the shared serial space: the next
   // operation issued here gets serial+1, and a commit point taken after the
   // advance covers the whole shared prefix. Must be called by the session's
-  // owning thread, never from inside an operation.
-  void AdvanceSerial(Session& session, uint64_t serial);
+  // owning thread, never from inside an operation. Forward-only; there is
+  // never an operation inline (inflight_serial_ == 0), so the next version
+  // crossing simply reads the advanced serial as this session's commit
+  // point. Inline: ShardedKv calls it before every operation.
+  void AdvanceSerial(Session& session, uint64_t serial) {
+    if (serial > session.serial_) session.serial_ = serial;
+  }
 
   // Drives this session's pending operations; returns how many completed.
   // With wait_for_all, loops (refreshing) until none remain.

@@ -71,6 +71,20 @@ Address HybridLog::Allocate(uint32_t size) {
   }
 }
 
+bool HybridLog::StallAwaitsOnlyFlush() {
+  const uint64_t new_page =
+      tail_.load(std::memory_order_acquire) >> config_.page_bits;
+  if (new_page < config_.memory_pages) return true;  // no frame to recycle
+  const Address required_head = (new_page - config_.memory_pages + 1)
+                                << config_.page_bits;
+  if (safe_head_.load(std::memory_order_acquire) < required_head ||
+      eviction_floor_.load(std::memory_order_acquire) < required_head) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(flush_mu_);
+  return flush_issued_ >= required_head;
+}
+
 bool HybridLog::TryPreparePage(uint64_t new_page) {
   std::lock_guard<std::mutex> lock(rollover_mu_);
   // Someone else may have finished while we waited for the mutex.

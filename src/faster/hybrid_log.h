@@ -69,6 +69,12 @@ class HybridLog {
   // retry. The returned memory is zeroed.
   Address Allocate(uint32_t size);
 
+  // After a stalled Allocate: true when the rollover waits only for flush
+  // I/O already issued, which completes without any session's help. False
+  // when it still needs an epoch-safe head shift or a snapshot to release
+  // its pin, i.e. other sessions must refresh first.
+  bool StallAwaitsOnlyFlush();
+
   // In-memory pointer for `address`; the caller must have checked
   // address >= head() while epoch-protected.
   char* Ptr(Address address) {

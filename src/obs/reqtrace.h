@@ -44,8 +44,9 @@ enum class ReqStage : uint8_t {
   kDecode = 0,       // frame extract + decode + session/shard dispatch
   kPark = 1,         // parked while the op's shard was still restoring
   kExecute = 2,      // backend execute (incl. async completion wait)
-  kDurableGate = 3,  // executed, waiting for a covering checkpoint / FIFO
-  kAck = 4,          // response serialize + queued behind earlier frames
+  kDurableGate = 3,  // durable-gated op executed, awaiting its covering
+                     // checkpoint (0 for every other op)
+  kAck = 4,          // queued behind earlier frames + response serialize
   kWrite = 5,        // in the socket buffer until the kernel took the bytes
 };
 inline constexpr uint32_t kNumReqStages = 6;

@@ -14,7 +14,6 @@
 #include <iterator>
 #include <unordered_map>
 
-#include "shard/faster_backend.h"
 #include "util/clock.h"
 
 #if defined(__linux__) && !defined(CPR_FORCE_POLL)
@@ -235,13 +234,6 @@ KvServer::KvServer(kv::Backend* backend, KvServerOptions options)
   if (options_.num_workers == 0) options_.num_workers = 1;
 }
 
-KvServer::KvServer(faster::FasterKv* kv, KvServerOptions options)
-    : owned_backend_(std::make_unique<kv::FasterBackend>(kv)),
-      kv_(owned_backend_.get()),
-      options_(std::move(options)) {
-  if (options_.num_workers == 0) options_.num_workers = 1;
-}
-
 KvServer::~KvServer() { Stop(); }
 
 ServerCounters::Snapshot KvServer::counters() const {
@@ -385,7 +377,7 @@ Status KvServer::Start() {
         emit("cpr_server_durable_lag_p99_ns",
              static_cast<double>(s.durable_lag.Quantile(0.99)));
         emit("cpr_server_durable_lag_max_ns",
-             static_cast<double>(s.durable_lag_max_ns));
+             static_cast<double>(s.durable_lag.max));
       });
 
   // Per-request critical-path recorder (process-global; stage histograms
@@ -1509,7 +1501,7 @@ void KvServer::ReleaseResponses(Connection* c) {
       counters_.not_durable_acks.fetch_add(1, std::memory_order_relaxed);
       // Attribute the degradation: behind a sharded backend a failed
       // *coordinated round* withheld the manifest (some shard failed);
-      // behind a single store the engine checkpoint itself failed.
+      // behind a single store (one shard, or the txdb) its own round failed.
       if (kv_->num_shards() > 1) {
         counters_.not_durable_degraded.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -1548,9 +1540,13 @@ void KvServer::ReleaseResponses(Connection* c) {
         width(e.t_recv + e.park_ns, e.t_exec_start);
     span.stage_ns[static_cast<int>(S::kExecute)] =
         width(e.t_exec_start, e.t_ready);
+    // The wait after execute is the durable gate only for an op that waits
+    // for coverage; for any other op it is FIFO wait behind earlier frames,
+    // which belongs to ack.
+    const uint64_t gate_end = e.durable_gate != 0 ? release_ns : e.t_ready;
     span.stage_ns[static_cast<int>(S::kDurableGate)] =
-        width(e.t_ready, release_ns);
-    span.stage_ns[static_cast<int>(S::kAck)] = width(release_ns, encoded_ns);
+        width(e.t_ready, gate_end);
+    span.stage_ns[static_cast<int>(S::kAck)] = width(gate_end, encoded_ns);
     // kWrite completes (and the span records) once the kernel took the
     // frame's last byte — see FlushOut.
     c->write_track.push_back(std::move(t));

@@ -2,10 +2,10 @@
 #define CPR_SERVER_SERVER_H_
 
 // Epoll-based (poll(2) fallback) TCP front-end exposing a kv::Backend —
-// one FasterKv or a ShardedKv (src/shard) — over the wire protocol in
-// server/wire.h. The wire protocol and durability semantics are identical
-// either way; with a sharded backend "checkpoint" means a coordinated
-// cross-shard round and acks gate on its published manifest.
+// a ShardedKv (src/shard; one shard for a single FasterKv store) or a
+// TxDbBackend (src/txdb) — over the wire protocol in server/wire.h. With a
+// ShardedKv "checkpoint" means a coordinated cross-shard round and acks gate
+// on its published manifest.
 //
 // Threading: one acceptor thread plus N worker threads. Each accepted
 // connection is assigned to one worker for its whole life, and each
@@ -54,8 +54,9 @@ struct KvServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0: pick an ephemeral port, see KvServer::port()
   uint32_t num_workers = 2;
-  // Each connection holds an epoch-table slot; keep this below the store's
-  // epoch max_threads (default 128) minus the threads you run yourself.
+  // Each connection holds an epoch-table slot in every FasterKv it reaches;
+  // keep this below a FasterKv epoch table's 256 entries minus the sessions
+  // you run yourself.
   uint32_t max_connections = 96;
   uint32_t idle_poll_ms = 5;  // poll timeout when no work is pending
   // 0: checkpoints only when a client sends CHECKPOINT. Otherwise the
@@ -114,9 +115,6 @@ class KvServer {
   // `backend` must outlive the server. Call Recover() on it before Start()
   // when resuming from a checkpoint.
   KvServer(kv::Backend* backend, KvServerOptions options);
-  // Convenience: serve a single FasterKv (wraps it in an owned adapter).
-  // `kv` must outlive the server.
-  KvServer(faster::FasterKv* kv, KvServerOptions options);
   ~KvServer();
 
   KvServer(const KvServer&) = delete;
@@ -187,7 +185,6 @@ class KvServer {
   // dropping queued responses at teardown.
   void FailPendingAtShutdown(Worker& w, Connection* c);
 
-  std::unique_ptr<kv::Backend> owned_backend_;  // FasterKv-ctor adapter
   kv::Backend* kv_;
   KvServerOptions options_;
   ServerCounters counters_;

@@ -2,20 +2,21 @@
 #define CPR_SHARD_BACKEND_H_
 
 // The session-store surface the serving layer (src/server) consumes,
-// abstracted away from one concrete FasterKv. Two implementations:
+// abstracted away from one concrete store. Two implementations:
 //
-//   * FasterBackend (faster_backend.h): a thin adapter over a single
-//     FasterKv — the original single-store deployment.
 //   * ShardedKv (sharded_kv.h): hash-partitions the keyspace over N
 //     independent FasterKv instances with coordinated cross-shard CPR
-//     checkpoints behind one global commit point.
+//     checkpoints behind one global commit point. A single FasterKv store
+//     is a one-shard ShardedKv.
+//   * TxDbBackend (txdb/txdb_backend.h): a TransactionalDb served by row,
+//     with multi-key transactions and live durability-provider switching.
 //
 // The interface reuses the engine's operation types (OpStatus, AsyncResult,
 // CommitVariant): the contract is identical to FasterKv's, just narrowed to
 // what a serving layer needs. "Token" means whatever monotonic durability
-// counter the backend exposes — a checkpoint token for FasterBackend, a
-// coordinated-round number for ShardedKv; the server only ever compares
-// them for ordering.
+// counter the backend exposes — a coordinated-round number for ShardedKv,
+// a commit token for TxDbBackend; the server only ever compares them for
+// ordering.
 
 #include <cstdint>
 #include <functional>

@@ -87,8 +87,8 @@ bool ParseManifestTokens(const std::vector<char>& payload, uint64_t round,
 // executing operation's engine serial equals its global serial exactly.
 // `skip_below_[i]` is shard i's recovered commit point: after recovery, any
 // operation whose global serial lands at or below it while routing to shard
-// i is a client replay the shard already holds (see Skip rationale at the
-// call sites) and is answered without executing.
+// i is a client replay the shard already holds (see the skip rule under
+// Operations) and is answered without executing.
 class ShardedKv::ShardSession final : public Session {
  public:
   ShardSession(uint64_t guid, uint32_t num_shards)
@@ -157,7 +157,6 @@ ShardedKv::ShardedKv(Options options)
   rounds_total_ = registry.GetCounter("cpr_shard_rounds_total");
   rounds_failed_total_ = registry.GetCounter("cpr_shard_rounds_failed_total");
   shard_recovery_ns_ = registry.GetHistogram("cpr_shard_recovery_ns");
-  shard_execute_ns_ = registry.GetHistogram("cpr_shard_execute_ns");
   obs_collector_id_ = registry.AddCollector(
       [this](const obs::MetricsRegistry::EmitFn& emit) {
         emit("cpr_shard_count", static_cast<double>(num_shards_));
@@ -202,6 +201,8 @@ ShardedKv::~ShardedKv() {
 }
 
 uint32_t ShardedKv::ShardOf(uint64_t key) const {
+  // A single store routes everything home without hashing or dividing.
+  if (num_shards_ == 1) return 0;
   // High hash bits: the in-shard hash index derives its bucket from the low
   // bits of the same Hash64, so routing on them would leave each shard using
   // only 1/num_shards of its buckets.
@@ -342,63 +343,49 @@ void ShardedKv::EnsureShardServes(ShardSession& s, uint32_t i) {
   }
 }
 
-faster::OpStatus ShardedKv::Read(Session& session, uint64_t key,
-                                 void* value_out) {
+template <typename EngineOp>
+faster::OpStatus ShardedKv::Dispatch(Session& session, uint64_t key,
+                                     faster::OpStatus replayed,
+                                     EngineOp&& engine_op) {
   auto& s = static_cast<ShardSession&>(session);
   const uint32_t i = ShardOf(key);
   const uint64_t g = ++s.serial_;
-  if (g <= s.skip_below_[i]) return faster::OpStatus::kNotFound;
-  EnsureShardServes(s, i);
+  if (g <= s.skip_below_[i]) return replayed;
+  if (s.subs_[i] == nullptr) EnsureShardServes(s, i);
   op_counts_[i].fetch_add(1, std::memory_order_relaxed);
   shards_[i]->AdvanceSerial(*s.subs_[i], g - 1);
-  const uint64_t t0 = NowNanos();
-  const faster::OpStatus st = shards_[i]->Read(*s.subs_[i], key, value_out);
-  shard_execute_ns_->Record(NowNanos() - t0);
-  return st;
+  return engine_op(*shards_[i], *s.subs_[i]);
+}
+
+faster::OpStatus ShardedKv::Read(Session& session, uint64_t key,
+                                 void* value_out) {
+  return Dispatch(session, key, faster::OpStatus::kNotFound,
+                  [&](faster::FasterKv& kv, faster::Session& sub) {
+                    return kv.Read(sub, key, value_out);
+                  });
 }
 
 faster::OpStatus ShardedKv::Upsert(Session& session, uint64_t key,
                                    const void* value) {
-  auto& s = static_cast<ShardSession&>(session);
-  const uint32_t i = ShardOf(key);
-  const uint64_t g = ++s.serial_;
-  if (g <= s.skip_below_[i]) return faster::OpStatus::kOk;
-  EnsureShardServes(s, i);
-  op_counts_[i].fetch_add(1, std::memory_order_relaxed);
-  shards_[i]->AdvanceSerial(*s.subs_[i], g - 1);
-  const uint64_t t0 = NowNanos();
-  const faster::OpStatus st = shards_[i]->Upsert(*s.subs_[i], key, value);
-  shard_execute_ns_->Record(NowNanos() - t0);
-  return st;
+  return Dispatch(session, key, faster::OpStatus::kOk,
+                  [&](faster::FasterKv& kv, faster::Session& sub) {
+                    return kv.Upsert(sub, key, value);
+                  });
 }
 
 faster::OpStatus ShardedKv::Rmw(Session& session, uint64_t key,
                                 int64_t delta) {
-  auto& s = static_cast<ShardSession&>(session);
-  const uint32_t i = ShardOf(key);
-  const uint64_t g = ++s.serial_;
-  if (g <= s.skip_below_[i]) return faster::OpStatus::kOk;
-  EnsureShardServes(s, i);
-  op_counts_[i].fetch_add(1, std::memory_order_relaxed);
-  shards_[i]->AdvanceSerial(*s.subs_[i], g - 1);
-  const uint64_t t0 = NowNanos();
-  const faster::OpStatus st = shards_[i]->Rmw(*s.subs_[i], key, delta);
-  shard_execute_ns_->Record(NowNanos() - t0);
-  return st;
+  return Dispatch(session, key, faster::OpStatus::kOk,
+                  [&](faster::FasterKv& kv, faster::Session& sub) {
+                    return kv.Rmw(sub, key, delta);
+                  });
 }
 
 faster::OpStatus ShardedKv::Delete(Session& session, uint64_t key) {
-  auto& s = static_cast<ShardSession&>(session);
-  const uint32_t i = ShardOf(key);
-  const uint64_t g = ++s.serial_;
-  if (g <= s.skip_below_[i]) return faster::OpStatus::kOk;
-  EnsureShardServes(s, i);
-  op_counts_[i].fetch_add(1, std::memory_order_relaxed);
-  shards_[i]->AdvanceSerial(*s.subs_[i], g - 1);
-  const uint64_t t0 = NowNanos();
-  const faster::OpStatus st = shards_[i]->Delete(*s.subs_[i], key);
-  shard_execute_ns_->Record(NowNanos() - t0);
-  return st;
+  return Dispatch(session, key, faster::OpStatus::kOk,
+                  [&](faster::FasterKv& kv, faster::Session& sub) {
+                    return kv.Delete(sub, key);
+                  });
 }
 
 uint64_t ShardedKv::SkipSerial(Session& session) {

@@ -4,7 +4,9 @@
 // ShardedKv: hash-partitions the keyspace over N independent FasterKv
 // instances (each with its own directory, epoch table and checkpoint
 // generations) while exposing the single-store kv::Backend surface, so the
-// serving layer and wire protocol are unchanged.
+// serving layer and wire protocol are unchanged. A single FasterKv store is
+// served as a one-shard ShardedKv: one serving path, round-number tokens and
+// instant restart whatever the shard count.
 //
 // Serial spaces. A ShardedKv session owns ONE global serial counter; every
 // operation draws the next global serial g and executes on its home shard
@@ -213,6 +215,13 @@ class ShardedKv final : public Backend {
   // Non-blocking flavour for Refresh/CompletePending: creates the engine
   // sub-session iff the shard is already ready; false when it is not.
   bool TryEnsureSub(ShardSession& s, uint32_t i);
+  // Every data op: route `key`, draw the next global serial, answer
+  // `replayed` without executing when the skip rule marks the op a replay,
+  // else run `engine_op(engine, sub_session)` on the home shard with the
+  // sub-serial aligned to the global serial.
+  template <typename EngineOp>
+  faster::OpStatus Dispatch(Session& session, uint64_t key,
+                            faster::OpStatus replayed, EngineOp&& engine_op);
 
   void CoordinatorLoop();
   // Runs one coordinated round end-to-end; returns true iff the manifest
@@ -280,10 +289,6 @@ class ShardedKv final : public Backend {
   obs::Counter* rounds_total_ = nullptr;
   obs::Counter* rounds_failed_total_ = nullptr;
   obs::HistogramMetric* shard_recovery_ns_ = nullptr;
-  // Time inside the owning shard's engine call per data op — the sub-stage
-  // of the server's "execute" stage spent in FasterKv proper (vs shard
-  // dispatch / sub-session upkeep around it).
-  obs::HistogramMetric* shard_execute_ns_ = nullptr;
   uint64_t obs_collector_id_ = 0;
 };
 

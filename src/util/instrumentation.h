@@ -92,16 +92,9 @@ struct ServerCounters {
   // executed operation until its covering checkpoint released the ack.
   // Multiple workers record, so this rides the lock-free sharded-slot
   // histogram (same log2 path the metrics registry uses): a record is three
-  // relaxed RMWs on the caller's slot, no mutex on the ack path.
-  std::atomic<uint64_t> durable_lag_max_ns{0};
-
-  void RecordDurableLag(uint64_t ns) {
-    durable_lag_.Record(ns);
-    uint64_t seen = durable_lag_max_ns.load(std::memory_order_relaxed);
-    while (ns > seen && !durable_lag_max_ns.compare_exchange_weak(
-                            seen, ns, std::memory_order_relaxed)) {
-    }
-  }
+  // relaxed RMWs on the caller's slot, no mutex on the ack path. The
+  // snapshot's durable_lag.max is the largest lag seen.
+  void RecordDurableLag(uint64_t ns) { durable_lag_.Record(ns); }
 
   struct Snapshot {
     uint64_t connections_accepted, connections_active, requests, responses,
@@ -112,7 +105,6 @@ struct ServerCounters {
         recovery_duration_ns, read_ops, write_ops, slow_reader_throttled,
         slow_reader_closed;
     HistogramData durable_lag;
-    uint64_t durable_lag_max_ns;
     // Cumulative engine checkpoint phase time, indexed by
     // kCheckpointPhaseNames (filled in by KvServer::counters() from the
     // metrics registry; zero when sampled straight off the struct).
@@ -138,7 +130,7 @@ struct ServerCounters {
                ld(time_to_first_op_ns),  ld(recovery_duration_ns),
                ld(read_ops),             ld(write_ops),
                ld(slow_reader_throttled), ld(slow_reader_closed),
-               durable_lag_.Sample(),    ld(durable_lag_max_ns)};
+               durable_lag_.Sample()};
     return s;
   }
 

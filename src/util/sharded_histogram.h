@@ -8,10 +8,11 @@
 //
 // Recording shards state over kMetricSlots cache-line-isolated per-thread
 // slots, so concurrent writers never contend and a record is three relaxed
-// atomic RMWs. Sampling merges the slots lock-free; concurrent with
+// atomic RMWs (plus a CAS when it raises its slot's max). Sampling merges the slots lock-free; concurrent with
 // recorders the (count, sum, buckets) triple is only approximately
 // consistent — fine for monitoring, exact once recorders quiesce.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -43,17 +44,20 @@ struct HistogramData {
   std::array<uint64_t, 65> buckets{};
   uint64_t sum = 0;
   uint64_t count = 0;
+  uint64_t max = 0;  // largest recorded value
 
   void Add(uint64_t v) {
     buckets[BucketOf(v)] += 1;
     sum += v;
     count += 1;
+    if (v > max) max = v;
   }
 
   void Merge(const HistogramData& o) {
     for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
     sum += o.sum;
     count += o.count;
+    if (o.max > max) max = o.max;
   }
 
   double Mean() const {
@@ -61,17 +65,20 @@ struct HistogramData {
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
 
-  // Approximate quantile (bucket upper bound), q in [0, 1].
+  // Approximate quantile, q in [0, 1]: the bucket's upper bound, clamped to
+  // the recorded max so no quantile exceeds it (q=1.0 is the max).
   uint64_t Quantile(double q) const {
     if (count == 0) return 0;
     uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count));
-    if (target >= count) target = count - 1;  // q=1.0: the max bucket
+    if (target >= count) target = count - 1;
     uint64_t seen = 0;
     for (size_t i = 0; i < buckets.size(); ++i) {
       seen += buckets[i];
-      if (seen > target) return i == 0 ? 1 : (uint64_t{1} << i);
+      if (seen > target) {
+        return std::min(max, i == 0 ? uint64_t{1} : uint64_t{1} << i);
+      }
     }
-    return uint64_t{1} << 63;
+    return max;
   }
 
   static int BucketOf(uint64_t v) {
@@ -80,7 +87,7 @@ struct HistogramData {
 };
 
 // Concurrent log2 histogram: per-thread-slot atomic buckets; Record() is
-// three relaxed RMWs on the caller's slot.
+// three relaxed RMWs on the caller's slot (plus a CAS on a new slot max).
 class HistogramMetric {
  public:
   HistogramMetric() = default;
@@ -91,6 +98,11 @@ class HistogramMetric {
         1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
+    // A CAS only while v is a new maximum for this slot: rare once warm.
+    uint64_t seen = s.max.load(std::memory_order_relaxed);
+    while (v > seen && !s.max.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
   }
 
   // Lock-free (relaxed) merge over the slots.
@@ -102,6 +114,7 @@ class HistogramMetric {
       }
       d.sum += s.sum.load(std::memory_order_relaxed);
       d.count += s.count.load(std::memory_order_relaxed);
+      d.max = std::max(d.max, s.max.load(std::memory_order_relaxed));
     }
     return d;
   }
@@ -114,6 +127,7 @@ class HistogramMetric {
     std::array<std::atomic<uint64_t>, 65> buckets{};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> max{0};
   };
   std::array<Slot, kMetricSlots> slots_;
 };

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include "test_dirs.h"
+
 #include <cstring>
 #include <string>
 
@@ -14,14 +15,7 @@ namespace cpr::faster {
 namespace {
 
 std::string FreshPath() {
-  static std::atomic<int> counter{0};
-  const char* name = ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name();
-  std::string path = "/tmp/cpr_hlog_" + std::string(name) + "_" +
-                     std::to_string(counter.fetch_add(1)) + ".dat";
-  RemoveFileIfExists(path);
-  return path;
+  return cpr::testing::FreshTestDir("cpr_hlog") + "/hlog.dat";
 }
 
 HybridLog::Config SmallConfig(const std::string& path) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_deadline.h"
 #include "test_dirs.h"
 
 #include <atomic>
@@ -254,6 +255,62 @@ TEST(FasterKvTest, TwoHopDiskChainCompletes) {
   }
   EXPECT_EQ(out, 22);
   kv.StopSession(s);
+}
+
+// Regression: two sessions driven by one thread append past the in-memory
+// log. A page rollover then waits until the other session's epoch moves,
+// which only this thread can do; the op must park (kPending) rather than
+// spin, and complete once the loop has refreshed the other session.
+TEST(FasterKvTest, AllocStallWithTwoSessionsOnOneThreadCompletes) {
+  cpr::testing::AbortAfter deadline(
+      std::chrono::seconds(60), "an append stalled on a rollover never returned");
+  FasterKv::Options o = SmallOptions(FreshDir());
+  o.index_buckets = 1 << 16;
+  o.page_bits = 16;  // 8 x 64 KiB in memory
+  o.memory_pages = 8;
+  FasterKv kv(o);
+  Session* sessions[2] = {kv.StartSession(), kv.StartSession()};
+  constexpr uint64_t kKeys = 100'000;  // ~4x the in-memory log
+  size_t parked = 0;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    Session& s = *sessions[k & 1];
+    const int64_t v = static_cast<int64_t>(k);
+    const OpStatus st = kv.Upsert(s, k, &v);
+    ASSERT_NE(st, OpStatus::kNotFound);
+    if (st == OpStatus::kPending) ++parked;
+    kv.CompletePending(s);
+  }
+  while (sessions[0]->pending_count() + sessions[1]->pending_count() > 0) {
+    for (Session* s : sessions) {
+      kv.CompletePending(*s);
+      kv.Refresh(*s);
+    }
+  }
+  EXPECT_GT(parked, 0u);
+
+  // The first key is on disk by now, the last one in memory.
+  Session& s = *sessions[0];
+  int64_t read_value = -1;
+  s.set_async_callback([&](const AsyncResult& r) {
+    if (r.kind == OpKind::kRead && r.found) read_value = V(r.value.data());
+  });
+  for (const uint64_t k : {uint64_t{0}, kKeys - 1}) {
+    int64_t out = -1;
+    const OpStatus st = kv.Read(s, k, &out);
+    if (st == OpStatus::kPending) {
+      while (s.pending_count() > 0) {
+        for (Session* other : sessions) {
+          kv.CompletePending(*other);
+          kv.Refresh(*other);
+        }
+      }
+      out = read_value;
+    } else {
+      ASSERT_EQ(st, OpStatus::kOk);
+    }
+    EXPECT_EQ(out, static_cast<int64_t>(k)) << "key " << k;
+  }
+  for (Session* other : sessions) kv.StopSession(other);
 }
 
 TEST(FasterKvTest, SerialNumbersIncreasePerOperation) {

@@ -1150,7 +1150,10 @@ TEST(FaultRecoveryTest, WalPersistentFlushFailureSurfacesError) {
 // checkpoint restores durable acknowledgements end to end.
 TEST(FaultRecoveryTest, FailingCheckpointDeviceDegradesToNotDurable) {
   const std::string dir = FreshDir();
-  faster::FasterKv kv(KvOpts(dir));
+  kv::ShardedKv::Options ko;
+  ko.base = KvOpts(dir);
+  ko.num_shards = 1;
+  kv::ShardedKv kv(ko);
   server::KvServerOptions so;
   so.num_workers = 2;
   so.idle_poll_ms = 1;

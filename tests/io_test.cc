@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "test_dirs.h"
+
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -11,14 +13,7 @@
 namespace cpr {
 namespace {
 
-std::string TempDir() {
-  const char* name = ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name();
-  std::string dir = "/tmp/cpr_io_test_" + std::string(name);
-  CreateDirectories(dir);
-  return dir;
-}
+std::string TempDir() { return cpr::testing::FreshTestDir("cpr_io_test"); }
 
 TEST(FileTest, WriteThenReadRoundTrip) {
   File f;

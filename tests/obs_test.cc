@@ -97,8 +97,9 @@ TEST(MetricsTest, HistogramDataMergeAndQuantile) {
   m.Merge(b);
   EXPECT_EQ(m.count, 8u);
   EXPECT_EQ(m.sum, a.sum + b.sum);
-  // q=1.0 lands in the max bucket (100000 < 2^17).
-  EXPECT_EQ(m.Quantile(1.0), uint64_t{1} << 17);
+  // q=1.0 lands in the max bucket (100000 < 2^17), clamped to the max.
+  EXPECT_EQ(m.max, 100'000u);
+  EXPECT_EQ(m.Quantile(1.0), 100'000u);
   // q=0 lands in the min bucket (1 -> bucket 1, upper bound 2).
   EXPECT_EQ(m.Quantile(0.0), 2u);
   EXPECT_EQ(HistogramData{}.Quantile(0.5), 0u);

@@ -5,6 +5,7 @@
 // with exactly-once effects.
 #include <gtest/gtest.h>
 
+#include "test_deadline.h"
 #include "test_dirs.h"
 
 #include <arpa/inet.h>
@@ -85,7 +86,7 @@ struct InjectorScope {
 };
 
 TEST(ServerE2E, BasicOpsRoundTrip) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -124,8 +125,60 @@ TEST(ServerE2E, BasicOpsRoundTrip) {
   EXPECT_GT(counters.bytes_out, 0u);
 }
 
+// Regression: one worker serves a live and an idle connection while the
+// live one appends far past the in-memory log. Every page rollover waits on
+// the idle session's epoch, which only the same worker refreshes; the
+// stalled op must park instead of hanging the worker, and every op is
+// acknowledged.
+TEST(ServerE2E, AppendsPastTheLogWithAnIdleSessionOnTheSameWorker) {
+  cpr::testing::AbortAfter deadline(std::chrono::seconds(120),
+                                    "the worker hung on a log rollover");
+  kv::ShardedKv::Options o = ShardedOptions(FreshDir(), 1);
+  o.base.index_buckets = 1 << 16;
+  o.base.page_bits = 16;  // 8 x 64 KiB in memory
+  o.base.memory_pages = 8;
+  kv::ShardedKv kv(o);
+  KvServerOptions sopts = ServerOptions();
+  sopts.num_workers = 1;
+  KvServer server(&kv, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  CprClient idle(ClientOptions(server.port()));
+  ASSERT_TRUE(idle.Connect().ok());
+  CprClient c(ClientOptions(server.port()));
+  ASSERT_TRUE(c.Connect().ok());
+
+  constexpr uint64_t kKeys = 60'000;  // ~3x the in-memory log
+  constexpr uint64_t kWindow = 1'000;
+  std::vector<CprClient::Result> results;
+  for (uint64_t base = 0; base < kKeys; base += kWindow) {
+    for (uint64_t k = base; k < base + kWindow; ++k) {
+      const int64_t v = static_cast<int64_t>(k);
+      c.EnqueueUpsert(k, &v);
+    }
+    ASSERT_TRUE(c.Flush().ok());
+    results.clear();
+    ASSERT_TRUE(c.Drain(&results).ok()) << "keys from " << base;
+    ASSERT_EQ(results.size(), static_cast<size_t>(kWindow));
+    for (const auto& r : results) {
+      ASSERT_EQ(r.status, net::WireStatus::kOk) << "keys from " << base;
+    }
+  }
+  bool found = false;
+  EXPECT_EQ(ReadValue(c, 0, &found), 0);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(ReadValue(c, kKeys - 1, &found),
+            static_cast<int64_t>(kKeys - 1));
+  EXPECT_TRUE(found);
+
+  c.Close();
+  idle.Close();
+  server.Stop();
+  EXPECT_EQ(server.counters().requests, server.counters().responses);
+}
+
 TEST(ServerE2E, PipelinedOpsKeepOrderAndSerials) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -160,7 +213,7 @@ TEST(ServerE2E, PipelinedOpsKeepOrderAndSerials) {
 }
 
 TEST(ServerE2E, RawSocketProtocolErrors) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -213,7 +266,7 @@ TEST(ServerE2E, RawSocketProtocolErrors) {
 }
 
 TEST(ServerE2E, DuplicateLiveGuidIsRejected) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -232,7 +285,7 @@ TEST(ServerE2E, DuplicateLiveGuidIsRejected) {
 }
 
 TEST(ServerE2E, LiveReconnectResumesExactSerial) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -259,7 +312,7 @@ TEST(ServerE2E, LiveReconnectResumesExactSerial) {
 }
 
 TEST(ServerE2E, CommitPointTracksCheckpoint) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -297,7 +350,7 @@ TEST(ServerE2E, CrashRecoveryDurableClientExactlyOnce) {
   constexpr int kBatch1 = 50;  // durably acknowledged before the crash
   constexpr int kBatch2 = 30;  // executed but never durable: must replay
 
-  auto kv1 = std::make_unique<FasterKv>(SmallOptions(dir));
+  auto kv1 = std::make_unique<kv::ShardedKv>(ShardedOptions(dir, 1));
   auto server1 = std::make_unique<KvServer>(kv1.get(), ServerOptions());
   ASSERT_TRUE(server1->Start().ok());
   const uint16_t port = server1->port();
@@ -338,7 +391,7 @@ TEST(ServerE2E, CrashRecoveryDurableClientExactlyOnce) {
   kv1.reset();
 
   // Recover the store from the on-disk checkpoint and serve it again.
-  FasterKv kv(SmallOptions(dir));
+  kv::ShardedKv kv(ShardedOptions(dir, 1));
   ASSERT_TRUE(kv.Recover().ok());
   KvServer server(&kv, ServerOptions(port));
   ASSERT_TRUE(server.Start().ok());
@@ -593,6 +646,14 @@ TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
   }
 
   ASSERT_TRUE(kv.WaitForRecovery().ok());
+  // The server's own recovery thread stores recovery_duration_ns after its
+  // WaitForRecovery returns, which may be after ours: wait for the report.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.counters().recovery_duration_ns == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const auto counters = server.counters();
   EXPECT_GT(counters.time_to_first_op_ns, 0u);
   EXPECT_GT(counters.recovery_duration_ns, 0u);
@@ -606,7 +667,7 @@ TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
 // durable-gated update whose covering checkpoint never happened is released
 // as NOT_DURABLE during Stop().
 TEST(ServerE2E, ShutdownDrainReleasesGatedOpsAsNotDurable) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -757,7 +818,7 @@ double MetricValue(const std::string& text, const std::string& name) {
 }
 
 TEST(ServerE2E, StatsScrapeCoversAllLayers) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -796,7 +857,7 @@ TEST(ServerE2E, StatsScrapeCoversAllLayers) {
 }
 
 TEST(ServerE2E, StatsTraceJsonHasCheckpointLifecycle) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -832,7 +893,7 @@ TEST(ServerE2E, StatsTraceJsonHasCheckpointLifecycle) {
 
 TEST(ServerE2E, StatsNeedsNoSession) {
   // Monitoring must work on a bare connection: STATS before HELLO.
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -935,7 +996,7 @@ TEST(ServerE2E, ReqStageBreakdownPartitionsEndToEnd) {
   const obs::HistogramData e2e_base =
       reg.GetHistogram("cpr_req_e2e_ns")->Sample();
 
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
   CprClient c(ClientOptions(server.port()));
@@ -959,10 +1020,14 @@ TEST(ServerE2E, ReqStageBreakdownPartitionsEndToEnd) {
     stage_sum_total += s.sum - stage_base[i].sum;
   }
   EXPECT_EQ(stage_sum_total, e2e_sum);
+  // Executed acks arm no durable gate: waiting behind earlier frames is
+  // ack time, never durable_gate time.
+  const uint32_t gate = static_cast<uint32_t>(obs::ReqStage::kDurableGate);
+  EXPECT_EQ(stage_hist(gate)->Sample().sum - stage_base[gate].sum, 0u);
 }
 
 TEST(ServerE2E, StatsHealthAndBreakdownRoundTrip) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServerOptions opts = ServerOptions();
   opts.watchdog_interval_ms = 5;
   KvServer server(&kv, opts);
@@ -1009,7 +1074,7 @@ TEST(ServerE2E, StatsHealthAndBreakdownRoundTrip) {
 // Batching is transport-level only: a pipelined workload, coalesced into
 // BATCH frames, must keep per-op results, order, and serials.
 TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -1063,7 +1128,7 @@ TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   constexpr int kBatch1 = 50;
   constexpr int kBatch2 = 30;
 
-  auto kv1 = std::make_unique<FasterKv>(SmallOptions(dir));
+  auto kv1 = std::make_unique<kv::ShardedKv>(ShardedOptions(dir, 1));
   auto server1 = std::make_unique<KvServer>(kv1.get(), ServerOptions());
   ASSERT_TRUE(server1->Start().ok());
   const uint16_t port = server1->port();
@@ -1096,7 +1161,7 @@ TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   server1.reset();
   kv1.reset();
 
-  FasterKv kv(SmallOptions(dir));
+  kv::ShardedKv kv(ShardedOptions(dir, 1));
   ASSERT_TRUE(kv.Recover().ok());
   KvServer server(&kv, ServerOptions(port));
   ASSERT_TRUE(server.Start().ok());
@@ -1201,22 +1266,23 @@ TEST(ServerE2E, InstantRestartParksPipelinedBurst) {
 // behind them: the in-memory reads ahead of a stalled disk read arrive in
 // their own response frame while the disk read is still in flight.
 TEST(ServerE2E, BatchedAcksAreNotHeldBehindADiskRead) {
-  FasterKv::Options o = SmallOptions(FreshDir());
-  o.page_bits = 12;
-  o.memory_pages = 6;
-  FasterKv kv(o);
+  kv::ShardedKv::Options o = ShardedOptions(FreshDir(), 1);
+  o.base.page_bits = 12;
+  o.base.memory_pages = 6;
+  kv::ShardedKv kv(o);
   constexpr uint64_t kKeys = 4000;
   {
-    faster::Session* s = kv.StartSession();
+    FasterKv& engine = kv.shard(0);
+    faster::Session* s = engine.StartSession();
     for (uint64_t k = 0; k < kKeys; ++k) {
       const int64_t v = static_cast<int64_t>(k);
-      ASSERT_EQ(kv.Upsert(*s, k, &v), faster::OpStatus::kOk);
+      ASSERT_EQ(engine.Upsert(*s, k, &v), faster::OpStatus::kOk);
     }
     // Key 1 is on disk, so the older key 0 is too.
     int64_t out = 0;
-    ASSERT_EQ(kv.Read(*s, 1, &out), faster::OpStatus::kPending);
-    kv.CompletePending(*s, /*wait_for_all=*/true);
-    kv.StopSession(s);
+    ASSERT_EQ(engine.Read(*s, 1, &out), faster::OpStatus::kPending);
+    engine.CompletePending(*s, /*wait_for_all=*/true);
+    engine.StopSession(s);
   }
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -1260,7 +1326,7 @@ TEST(ServerE2E, BatchedAcksAreNotHeldBehindADiskRead) {
 // connection's outbuf past the soft cap: the server must stop reading from
 // it (counted), then resume and deliver everything once the client drains.
 TEST(ServerE2E, SlowReaderSoftCapThrottlesThenResumes) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServerOptions sopts = ServerOptions();
   sopts.outbuf_soft_cap_bytes = 16u << 10;
   sopts.outbuf_hard_cap_bytes = 0;  // this test is about throttling only
@@ -1304,7 +1370,7 @@ TEST(ServerE2E, SlowReaderSoftCapThrottlesThenResumes) {
 // Past the hard cap the server stops buffering for a non-draining peer and
 // closes the connection instead of growing the outbuf without bound.
 TEST(ServerE2E, SlowReaderHardCapClosesConnection) {
-  FasterKv kv(SmallOptions(FreshDir()));
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
   KvServerOptions sopts = ServerOptions();
   sopts.outbuf_soft_cap_bytes = 0;  // keep reading: force outbuf growth
   sopts.outbuf_hard_cap_bytes = 256u << 10;

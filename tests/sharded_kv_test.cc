@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "io/fault_injection.h"
-#include "shard/faster_backend.h"
 #include "shard/sharded_kv.h"
 #include "util/hash.h"
 
@@ -162,46 +161,53 @@ TEST(ShardedKvTest, RoutingUsesHighHashBits) {
 }
 
 TEST(ShardedKvTest, CoordinatedRoundPublishesManifest) {
-  const std::string dir = FreshDir();
-  kv::ShardedKv kv(SmallOptions(dir));
-  kv::Session* s = kv.StartSession(777);
-  ASSERT_NE(s, nullptr);
-  constexpr uint64_t kOps = 100;
-  for (uint64_t k = 1; k <= kOps; ++k) {
-    ASSERT_NE(kv.Rmw(*s, k, 1), faster::OpStatus::kNotFound);
+  // One shard is how a single FasterKv store is served: the same rounds,
+  // manifests and round-number tokens.
+  for (const uint32_t shards : {4u, 1u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = FreshDir();
+    kv::ShardedKv kv(SmallOptions(dir, shards));
+    ASSERT_EQ(kv.num_shards(), shards);
+    kv::Session* s = kv.StartSession(777);
+    ASSERT_NE(s, nullptr);
+    constexpr uint64_t kOps = 100;
+    for (uint64_t k = 1; k <= kOps; ++k) {
+      ASSERT_NE(kv.Rmw(*s, k, 1), faster::OpStatus::kNotFound);
+    }
+    kv.CompletePending(*s, true);
+    kv.Refresh(*s);
+
+    uint64_t round = 0;
+    ASSERT_TRUE(RunRound(kv, *s, &round).ok());
+    EXPECT_EQ(round, 1u);
+    EXPECT_EQ(kv.LastCheckpointToken(), 1u);
+    EXPECT_EQ(kv.LastFinishedToken(), 1u);
+    EXPECT_EQ(kv.CheckpointFailures(), 0u);
+
+    // The manifest is on disk and names one engine token per shard.
+    EXPECT_EQ(CountManifests(dir), 1u);
+    const std::vector<uint64_t> tokens = kv.ManifestShardTokens();
+    ASSERT_EQ(tokens.size(), shards);
+    for (uint32_t i = 0; i < shards; ++i) {
+      EXPECT_NE(tokens[i], 0u) << "shard " << i;
+      EXPECT_EQ(tokens[i], kv.shard(i).LastCheckpointToken())
+          << "shard " << i;
+    }
+
+    // All ops preceded the round and the session refreshed on every shard,
+    // so the global commit point covers every op.
+    uint64_t point = 0;
+    ASSERT_TRUE(kv.DurableCommitPoint(777, &point).ok());
+    EXPECT_EQ(point, kOps);
+
+    // A second round advances the round counter.
+    ASSERT_EQ(kv.Rmw(*s, 1, 1), faster::OpStatus::kOk);
+    kv.Refresh(*s);
+    ASSERT_TRUE(RunRound(kv, *s, &round).ok());
+    EXPECT_EQ(round, 2u);
+    EXPECT_EQ(CountManifests(dir), 2u);
+    kv.StopSession(s);
   }
-  kv.CompletePending(*s, true);
-  kv.Refresh(*s);
-
-  uint64_t round = 0;
-  ASSERT_TRUE(RunRound(kv, *s, &round).ok());
-  EXPECT_EQ(round, 1u);
-  EXPECT_EQ(kv.LastCheckpointToken(), 1u);
-  EXPECT_EQ(kv.LastFinishedToken(), 1u);
-  EXPECT_EQ(kv.CheckpointFailures(), 0u);
-
-  // The manifest is on disk and names one engine token per shard.
-  EXPECT_EQ(CountManifests(dir), 1u);
-  const std::vector<uint64_t> tokens = kv.ManifestShardTokens();
-  ASSERT_EQ(tokens.size(), 4u);
-  for (uint32_t i = 0; i < 4; ++i) {
-    EXPECT_NE(tokens[i], 0u) << "shard " << i;
-    EXPECT_EQ(tokens[i], kv.shard(i).LastCheckpointToken()) << "shard " << i;
-  }
-
-  // All ops preceded the round and the session refreshed on every shard, so
-  // the global commit point covers every op.
-  uint64_t point = 0;
-  ASSERT_TRUE(kv.DurableCommitPoint(777, &point).ok());
-  EXPECT_EQ(point, kOps);
-
-  // A second round advances the round counter.
-  ASSERT_EQ(kv.Rmw(*s, 1, 1), faster::OpStatus::kOk);
-  kv.Refresh(*s);
-  ASSERT_TRUE(RunRound(kv, *s, &round).ok());
-  EXPECT_EQ(round, 2u);
-  EXPECT_EQ(CountManifests(dir), 2u);
-  kv.StopSession(s);
 }
 
 TEST(ShardedKvTest, ManifestRetentionGarbageCollects) {
@@ -483,33 +489,6 @@ TEST(ShardedKvTest, SkipSerialBurnsOneEffectFreeSerial) {
   bool found = false;
   EXPECT_EQ(ReadSync(kv, *s, 1, &found), 10);
   EXPECT_TRUE(found);
-  kv.StopSession(s);
-}
-
-TEST(FasterBackendTest, AdaptsSingleStore) {
-  // The single-store adapter exposes identical semantics (the server's
-  // compat constructor depends on it).
-  kv::FasterBackend kv(SmallOptions(FreshDir()).base);
-  EXPECT_EQ(kv.num_shards(), 1u);
-  kv::Session* s = kv.StartSession(11);
-  ASSERT_NE(s, nullptr);
-  const int64_t v = 5;
-  ASSERT_EQ(kv.Upsert(*s, 1, &v), faster::OpStatus::kOk);
-  ASSERT_EQ(kv.Rmw(*s, 1, 2), faster::OpStatus::kOk);
-  EXPECT_EQ(s->serial(), 2u);
-  bool found = false;
-  EXPECT_EQ(ReadSync(kv, *s, 1, &found), 7);
-  EXPECT_TRUE(found);
-  uint64_t token = 0;
-  ASSERT_TRUE(kv.Checkpoint(faster::CommitVariant::kFoldOver, true, &token));
-  while (kv.CheckpointInProgress()) {
-    kv.CompletePending(*s);
-    kv.Refresh(*s);
-  }
-  ASSERT_TRUE(kv.WaitForCheckpoint(token).ok());
-  uint64_t point = 0;
-  ASSERT_TRUE(kv.DurableCommitPoint(11, &point).ok());
-  EXPECT_EQ(point, 3u);
   kv.StopSession(s);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "test_dirs.h"
+
 #include <cstring>
 #include <string>
 
@@ -9,12 +11,7 @@
 namespace cpr::txdb {
 namespace {
 
-std::string TempDir(const char* suffix = "") {
-  const char* name = ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name();
-  return "/tmp/cpr_txdb_basic_" + std::string(name) + suffix;
-}
+std::string TempDir() { return cpr::testing::FreshTestDir("cpr_txdb_basic"); }
 
 TransactionalDb::Options NoDurability() {
   TransactionalDb::Options o;

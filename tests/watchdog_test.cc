@@ -234,7 +234,7 @@ TEST(WatchdogTest, CheckpointPhaseStallDetectedEndToEnd) {
   const std::string dump = dir + "/watchdog_dump.txt";
 
   InjectorScope fi;
-  FasterKv kv(SmallOptions(dir));
+  kv::ShardedKv kv(ShardedOptions(dir, 1));
 
   KvServerOptions opts = ServerOptions();
   opts.checkpoint_interval_ms = 20;  // server keeps starting rounds itself
