@@ -187,9 +187,7 @@ int main(int argc, char** argv) {
   if (recover && !instant) {
     const cpr::Status s = backend->Recover();
     if (s.ok()) {
-      std::printf("recovered from latest %s in %s\n",
-                  shards > 1 ? "cross-shard manifest" : "manifest",
-                  dir.c_str());
+      std::printf("recovered from latest manifest in %s\n", dir.c_str());
     } else if (s.code() == cpr::Status::Code::kNotFound) {
       std::printf("no checkpoint in %s, starting fresh\n", dir.c_str());
     } else {

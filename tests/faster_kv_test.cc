@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "io/fault_injection.h"
 #include "util/hash.h"
 
 namespace cpr::faster {
@@ -311,6 +312,36 @@ TEST(FasterKvTest, AllocStallWithTwoSessionsOnOneThreadCompletes) {
     EXPECT_EQ(out, static_cast<int64_t>(k)) << "key " << k;
   }
   for (Session* other : sessions) kv.StopSession(other);
+}
+
+// The other side of the rollover rule: a rollover that waits only for a
+// flush already in flight needs no other session, so a lone session's
+// appends still complete inline (kOk) while every log write is slow.
+TEST(FasterKvTest, RolloverWaitingOnlyForAFlushCompletesInline) {
+  struct InjectorScope {
+    FaultInjector inj;
+    InjectorScope() { FaultInjector::Install(&inj); }
+    ~InjectorScope() { FaultInjector::Install(nullptr); }
+  } fi;  // outlives the store, whose teardown drains its log writes
+  FaultRule slow;
+  slow.any_op = false;
+  slow.op = FaultOp::kWrite;
+  slow.path_substr = "hlog";
+  slow.sticky = true;
+  slow.action = FaultAction::kNone;
+  slow.delay_ms = 20;
+  fi.inj.AddRule(slow);
+
+  FasterKv::Options o = SmallOptions(FreshDir());
+  o.page_bits = 12;
+  o.memory_pages = 6;
+  FasterKv kv(o);
+  Session* s = kv.StartSession();
+  for (uint64_t k = 0; k < 2000; ++k) {  // ~12 rollovers
+    const int64_t v = static_cast<int64_t>(k);
+    ASSERT_EQ(kv.Upsert(*s, k, &v), OpStatus::kOk) << k;
+  }
+  kv.StopSession(s);
 }
 
 TEST(FasterKvTest, SerialNumbersIncreasePerOperation) {
