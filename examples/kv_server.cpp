@@ -241,6 +241,11 @@ int main(int argc, char** argv) {
   while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(
         stats_ms == 0 ? 1000 : stats_ms));
+    if (const cpr::Status rs = server.recovery_error(); !rs.ok()) {
+      std::fprintf(stderr, "recovery failed: %s\n", rs.ToString().c_str());
+      server.Stop();
+      return 1;
+    }
     const auto c = server.counters();
     if (!recovery_reported && c.recovery_duration_ns != 0) {
       recovery_reported = true;

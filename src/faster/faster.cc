@@ -95,6 +95,10 @@ obs::Counter* PhaseNs(const char* phase) {
 
 }  // namespace
 
+bool FasterKv::HoldsCheckpoint(const std::string& dir) {
+  return !ListCheckpointTokens(dir).empty();
+}
+
 FasterKv::FasterKv(Options options)
     : options_(std::move(options)),
       epoch_(256),
@@ -274,8 +278,12 @@ FasterKv::OpOutcome FasterKv::CreateRecord(PendingOp& op,
                                            std::atomic<uint64_t>* entry,
                                            uint64_t entry_word,
                                            const Record* base) {
-  const Address address = hlog_->Allocate(record_size_);
-  if (address == kInvalidAddress) return OpOutcome::kAllocStall;
+  HybridLog::Stall stall = HybridLog::Stall::kNone;
+  const Address address = hlog_->Allocate(record_size_, &stall);
+  if (address == kInvalidAddress) {
+    return stall == HybridLog::Stall::kAwaitFlush ? OpOutcome::kFlushStall
+                                                  : OpOutcome::kAllocStall;
+  }
   Record* rec = reinterpret_cast<Record*>(hlog_->Ptr(address));
   rec->key = op.key;
   FillValue(op, base, rec->value());
@@ -331,6 +339,54 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
       latched_here = false;
     }
   };
+  // A stalled append keeps its prepare-phase latch: the op stays a
+  // version-v op, and without the latch an in-progress session could write
+  // (v+1) over its key (§6.2.1), leaving the parked op to retry forever.
+  auto settle = [&](OpOutcome oc) {
+    if (oc == OpOutcome::kAllocStall || oc == OpOutcome::kFlushStall) {
+      keep_latch();
+    } else {
+      release_here();
+    }
+    return oc;
+  };
+  // Creates a record over an immutable base: below the mutable region, on
+  // disk, or none at all. From in-progress on this is the CPR version
+  // handoff (Alg. 5; App. C for coarse-grained): while a version-v op may
+  // still be pending on the bucket it yields kPendingRetry with *gated set,
+  // and the op parks. An absent base is gated too, or a (v+1) insert would
+  // overtake a parked v insert of the same key.
+  auto create_handoff = [&](std::atomic<uint64_t>* entry, uint64_t entry_word,
+                            const Record* base, bool coarse_wait,
+                            bool* gated) {
+    *gated = true;
+    if (behavior >= Phase::kInProgress && behavior != Phase::kWaitFlush) {
+      if (fine && behavior == Phase::kInProgress) {
+        if (!latch.TryLockExclusive()) return OpOutcome::kPendingRetry;
+        const OpOutcome oc =
+            CreateRecord(op, op.version, entry, entry_word, base);
+        latch.UnlockExclusive();
+        *gated = false;
+        return oc;
+      }
+      if (fine ? latch.SharedCount() != 0
+               : coarse_wait || pending_count_[v_commit & 1].load(
+                                    std::memory_order_acquire) != 0) {
+        return OpOutcome::kPendingRetry;
+      }
+    }
+    *gated = false;
+    return CreateRecord(op, op.version, entry, entry_word, base);
+  };
+
+  if (fresh && !session.pending_.empty() &&
+      KeyParkedBefore(session, session.pending_.end(), op.key)) {
+    // Session order per key: never overtake this session's parked op on
+    // the same key; wait behind it (with the latch, in prepare).
+    op.behind = true;
+    keep_latch();
+    return OpOutcome::kPendingRetry;
+  }
 
   for (int attempt = 0; attempt < 64; ++attempt) {
     std::atomic<uint64_t>* entry;
@@ -386,6 +442,7 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
       }
 
       OpOutcome oc;
+      bool gated = false;
       if (behavior == Phase::kRest || behavior == Phase::kPrepare ||
           next_ver) {
         // Same-version update: dispatch purely on HybridLog region. Deletes
@@ -407,36 +464,15 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
         oc = CreateRecord(op, op.version, entry, entry_word, rec);
       } else {
         // behavior in {in-progress, wait-pending, wait-flush} and the
-        // record is still version <= v: CPR version handoff (Alg. 5).
-        if (fine) {
-          if (behavior == Phase::kInProgress) {
-            if (!latch.TryLockExclusive()) {
-              return OpOutcome::kPendingRetry;
-            }
-            oc = CreateRecord(op, op.version, entry, entry_word, rec);
-            latch.UnlockExclusive();
-          } else if (behavior == Phase::kWaitPending) {
-            if (latch.SharedCount() != 0) return OpOutcome::kPendingRetry;
-            oc = CreateRecord(op, op.version, entry, entry_word, rec);
-          } else {  // kWaitFlush
-            oc = CreateRecord(op, op.version, entry, entry_word, rec);
-          }
-        } else {
-          // Coarse-grained (App. C): copy only from the safe read-only
-          // region, and only once no version-v operation is outstanding
-          // (the latch-free variant has no per-bucket knowledge).
-          if (behavior != Phase::kWaitFlush &&
-              (addr >= hlog_->safe_read_only() ||
-               pending_count_[v_commit & 1].load(std::memory_order_acquire) !=
-                   0)) {
-            return OpOutcome::kPendingRetry;
-          }
-          oc = CreateRecord(op, op.version, entry, entry_word, rec);
-        }
+        // record is still version <= v. Coarse-grained copies only from the
+        // safe read-only region (the latch-free variant has no per-bucket
+        // knowledge).
+        oc = create_handoff(entry, entry_word, rec,
+                            addr >= hlog_->safe_read_only(), &gated);
+        if (gated) return oc;
       }
       if (oc == OpOutcome::kPendingRetry) continue;  // CAS race: re-read
-      release_here();  // kDone, or kAllocStall (the op restarts from scratch)
-      return oc;
+      return settle(oc);
     }
 
     if (addr < begin) {
@@ -445,11 +481,12 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
         release_here();
         return OpOutcome::kNotFound;
       }
+      bool gated = false;
       const OpOutcome oc =
-          CreateRecord(op, op.version, entry, entry_word, nullptr);
+          create_handoff(entry, entry_word, nullptr, false, &gated);
+      if (gated) return oc;
       if (oc == OpOutcome::kPendingRetry) continue;
-      release_here();
-      return oc;
+      return settle(oc);
     }
 
     // ---- Chain continues on disk (addr in [begin, head)). ----
@@ -475,33 +512,13 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
           return OpOutcome::kDone;
         }
         // Update based on a disk-resident (hence immutable, version <= v)
-        // record: the same handoff gates as the immutable-region path.
-        OpOutcome oc;
-        const bool handoff = behavior >= Phase::kInProgress;
-        if (!handoff) {
-          oc = CreateRecord(op, op.version, entry, entry_word, drec);
-        } else if (fine) {
-          if (behavior == Phase::kInProgress) {
-            if (!latch.TryLockExclusive()) return OpOutcome::kPendingRetry;
-            oc = CreateRecord(op, op.version, entry, entry_word, drec);
-            latch.UnlockExclusive();
-          } else if (behavior == Phase::kWaitPending) {
-            if (latch.SharedCount() != 0) return OpOutcome::kPendingRetry;
-            oc = CreateRecord(op, op.version, entry, entry_word, drec);
-          } else {
-            oc = CreateRecord(op, op.version, entry, entry_word, drec);
-          }
-        } else {
-          if (behavior != Phase::kWaitFlush &&
-              pending_count_[v_commit & 1].load(std::memory_order_acquire) !=
-                  0) {
-            return OpOutcome::kPendingRetry;
-          }
-          oc = CreateRecord(op, op.version, entry, entry_word, drec);
-        }
+        // record.
+        bool gated = false;
+        const OpOutcome oc =
+            create_handoff(entry, entry_word, drec, false, &gated);
+        if (gated) return oc;
         if (oc == OpOutcome::kPendingRetry) continue;
-        release_here();
-        return oc;
+        return settle(oc);
       }
       // Key mismatch: follow the on-disk chain one hop deeper.
       const Address prev = drec->info.previous_address();
@@ -510,11 +527,12 @@ FasterKv::OpOutcome FasterKv::TryOp(Session& session, PendingOp& op,
           release_here();
           return OpOutcome::kNotFound;
         }
+        bool gated = false;
         const OpOutcome oc =
-            CreateRecord(op, op.version, entry, entry_word, nullptr);
+            create_handoff(entry, entry_word, nullptr, false, &gated);
+        if (gated) return oc;
         if (oc == OpOutcome::kPendingRetry) continue;
-        release_here();
-        return oc;
+        return settle(oc);
       }
       op.io_address = prev;
       op.io_done.store(false, std::memory_order_relaxed);
@@ -544,7 +562,7 @@ OpStatus FasterKv::DriveFreshOp(Session& session, PendingOp& op,
   session.inflight_serial_ = op.serial;
   bool stalled = false;
   while (true) {
-    if (!op.holds_latch) op.version = session.version_;
+    op.version = session.version_;
     const OpOutcome oc = TryOp(session, op, /*fresh=*/true, read_out);
     switch (oc) {
       case OpOutcome::kDone:
@@ -554,12 +572,15 @@ OpStatus FasterKv::DriveFreshOp(Session& session, PendingOp& op,
         session.inflight_serial_ = 0;
         return OpStatus::kNotFound;
       case OpOutcome::kAllocStall:
-        // A rollover that this session's refresh did not clear waits on
-        // other sessions' epochs (or a snapshot's pin), and those sessions
-        // may be driven by this very thread: park the op on the retry path
-        // so the caller's loop refreshes them; CompletePending retries it.
-        // Only a flush already in flight is waited out here.
-        if (stalled && !hlog_->StallAwaitsOnlyFlush()) {
+      case OpOutcome::kFlushStall:
+        // Park the op on the retry path (CompletePending retries it) when
+        // it holds a prepare-phase latch, which pins it to version v while
+        // an inline refresh could move the session to v+1; or when, after
+        // this session refreshed once, the rollover still waits on other
+        // sessions' epochs (or a snapshot's pin): those sessions may be
+        // driven by this very thread, whose loop refreshes them. Only a
+        // flush already in flight is waited out here.
+        if (op.holds_latch || (stalled && oc == OpOutcome::kAllocStall)) {
           session.inflight_serial_ = 0;
           ParkOp(session, op);
           return OpStatus::kPending;
@@ -616,6 +637,15 @@ OpStatus FasterKv::Delete(Session& session, uint64_t key) {
   return DriveFreshOp(session, op, nullptr);
 }
 
+bool FasterKv::KeyParkedBefore(const Session& session,
+                               std::list<PendingOp>::const_iterator end,
+                               uint64_t key) {
+  for (auto it = session.pending_.begin(); it != end; ++it) {
+    if (it->key == key) return true;
+  }
+  return false;
+}
+
 void FasterKv::ParkOp(Session& session, PendingOp& op) {
   session.pending_.emplace_back();
   PendingOp& p = session.pending_.back();
@@ -626,6 +656,7 @@ void FasterKv::ParkOp(Session& session, PendingOp& op) {
   p.serial = op.serial;
   p.version = op.version;
   p.holds_latch = op.holds_latch;
+  p.behind = op.behind;
   p.bucket = op.bucket;
   p.io_address = op.io_address;
   p.io_disk_entry = op.io_disk_entry;
@@ -677,6 +708,13 @@ size_t FasterKv::CompletePending(Session& session, bool wait_for_all) {
         ++it;
         continue;
       }
+      if (op.behind) {
+        if (KeyParkedBefore(session, it, op.key)) {
+          ++it;
+          continue;
+        }
+        op.behind = false;
+      }
       const OpOutcome oc = TryOp(session, op, /*fresh=*/false, nullptr);
       switch (oc) {
         case OpOutcome::kDone:
@@ -689,6 +727,7 @@ size_t FasterKv::CompletePending(Session& session, bool wait_for_all) {
           IssueIo(op);
           break;
         case OpOutcome::kAllocStall:
+        case OpOutcome::kFlushStall:
           Refresh(session);
           break;
         case OpOutcome::kPendingRetry:
@@ -1250,7 +1289,7 @@ Status FasterKv::CompactLog(Session& session, Address until,
         ++moved;
         break;
       }
-      if (oc == OpOutcome::kAllocStall) {
+      if (oc == OpOutcome::kAllocStall || oc == OpOutcome::kFlushStall) {
         Refresh(session);
         op.version = session.version_;
         continue;

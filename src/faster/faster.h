@@ -58,6 +58,10 @@ struct PendingOp {
   uint32_t version = 0;       // CPR version the operation belongs to
   bool counted = false;       // contributes to the global pending-v counter
   bool holds_latch = false;   // shared bucket latch held (fine-grained)
+  // Parked behind an earlier pending op of its session on the same key; it
+  // runs only once that op completed, so a session's ops on one key take
+  // effect in serial order.
+  bool behind = false;
   uint64_t bucket = 0;
 
   bool io_issued = false;
@@ -254,6 +258,9 @@ class FasterKv {
   // Call before any sessions start.
   Status Recover();
 
+  // True when `dir` holds a checkpoint meta file of this engine.
+  static bool HoldsCheckpoint(const std::string& dir);
+
   // Rebuilds the store from one specific checkpoint generation, even when
   // newer generations exist on disk. Coordinated multi-store recovery
   // (src/shard) uses this to roll every store back to the tokens named by a
@@ -327,7 +334,8 @@ class FasterKv {
     kPendingIo,     // needs a disk read at op.io_address
     kPendingRetry,  // parked on fuzzy region / latch / CPR handoff
     kShift,         // CPR version shift detected; refresh and re-pin
-    kAllocStall,    // log page rollover in progress; refresh and retry
+    kAllocStall,    // log page rollover waits on other sessions' epochs
+    kFlushStall,    // log page rollover waits only on an issued flush
   };
 
   // Executes one attempt of an operation under the CPR phase rules
@@ -338,7 +346,7 @@ class FasterKv {
 
   // Appends a record (new version of `key`) based on `base` (may be null)
   // and links it into the chain via CAS on `entry`. Returns kDone,
-  // kAllocStall, or kPendingRetry (CAS raced; caller re-runs).
+  // kAllocStall/kFlushStall, or kPendingRetry (CAS raced; caller re-runs).
   OpOutcome CreateRecord(PendingOp& op, uint32_t record_version,
                          std::atomic<uint64_t>* entry, uint64_t entry_word,
                          const Record* base);
@@ -348,6 +356,10 @@ class FasterKv {
 
   OpStatus DriveFreshOp(Session& session, PendingOp& op, void* read_out);
   void ParkOp(Session& session, PendingOp& op);
+  // True when one of `session`'s parked ops before `end` is on `key`.
+  static bool KeyParkedBefore(const Session& session,
+                              std::list<PendingOp>::const_iterator end,
+                              uint64_t key);
   void IssueIo(PendingOp& op);
   void FinalizeOp(Session& session, PendingOp& op, bool found);
 

@@ -40,18 +40,19 @@ HybridLog::HybridLog(const Config& config, EpochFramework* epoch, IoPool* io)
 
 HybridLog::~HybridLog() { io_->Drain(); }
 
-Address HybridLog::Allocate(uint32_t size) {
+Address HybridLog::Allocate(uint32_t size, Stall* stall) {
   assert(size <= page_size());
   while (true) {
     Address t = tail_.load(std::memory_order_acquire);
     const uint64_t offset = t & page_mask_;
     const uint64_t page = t >> config_.page_bits;
-    if (offset == 0) {
+    if (offset == 0 && frame_page_[page % config_.memory_pages].load(
+                           std::memory_order_acquire) != page) {
       // First allocation in this page (reached either by an exact fill of
       // the previous page or by a rollover): the frame must be ready.
-      if (frame_page_[page % config_.memory_pages].load(
-              std::memory_order_acquire) != page &&
-          !TryPreparePage(page)) {
+      const Stall why = TryPreparePage(page);
+      if (why != Stall::kNone) {
+        if (stall != nullptr) *stall = why;
         return kInvalidAddress;  // caller refreshes its epoch and retries
       }
     }
@@ -71,26 +72,12 @@ Address HybridLog::Allocate(uint32_t size) {
   }
 }
 
-bool HybridLog::StallAwaitsOnlyFlush() {
-  const uint64_t new_page =
-      tail_.load(std::memory_order_acquire) >> config_.page_bits;
-  if (new_page < config_.memory_pages) return true;  // no frame to recycle
-  const Address required_head = (new_page - config_.memory_pages + 1)
-                                << config_.page_bits;
-  if (safe_head_.load(std::memory_order_acquire) < required_head ||
-      eviction_floor_.load(std::memory_order_acquire) < required_head) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(flush_mu_);
-  return flush_issued_ >= required_head;
-}
-
-bool HybridLog::TryPreparePage(uint64_t new_page) {
+HybridLog::Stall HybridLog::TryPreparePage(uint64_t new_page) {
   std::lock_guard<std::mutex> lock(rollover_mu_);
   // Someone else may have finished while we waited for the mutex.
   if (frame_page_[new_page % config_.memory_pages].load(
           std::memory_order_acquire) == new_page) {
-    return true;
+    return Stall::kNone;
   }
 
   // 1. Keep the read-only offset at its lag distance behind the new page.
@@ -107,7 +94,7 @@ bool HybridLog::TryPreparePage(uint64_t new_page) {
     const Address required_head =
         (new_page - config_.memory_pages + 1) << config_.page_bits;
     if (required_head > eviction_floor_.load(std::memory_order_acquire)) {
-      return false;  // snapshot in progress pins this region
+      return Stall::kAwaitEpochs;  // snapshot in progress pins this region
     }
     Address head = head_.load(std::memory_order_acquire);
     if (head < required_head) {
@@ -120,9 +107,13 @@ bool HybridLog::TryPreparePage(uint64_t new_page) {
         }
       });
     }
-    if (safe_head_.load(std::memory_order_acquire) < required_head ||
-        flushed_until_.load(std::memory_order_acquire) < required_head) {
-      return false;  // caller must refresh and retry
+    if (safe_head_.load(std::memory_order_acquire) < required_head) {
+      return Stall::kAwaitEpochs;
+    }
+    if (flushed_until_.load(std::memory_order_acquire) < required_head) {
+      std::lock_guard<std::mutex> flush_lock(flush_mu_);
+      return flush_issued_ >= required_head ? Stall::kAwaitFlush
+                                            : Stall::kAwaitEpochs;
     }
   }
 
@@ -131,7 +122,7 @@ bool HybridLog::TryPreparePage(uint64_t new_page) {
   std::memset(frame, 0, page_size());
   frame_page_[new_page % config_.memory_pages].store(
       new_page, std::memory_order_release);
-  return true;
+  return Stall::kNone;
 }
 
 void HybridLog::ShiftReadOnly(Address desired) {

@@ -63,17 +63,23 @@ class HybridLog {
   // the disk-resident region may be truncated (new_begin <= head).
   Status ShiftBeginAddress(Address new_begin);
 
+  // Why a page rollover cannot hand out its frame yet.
+  enum class Stall : uint8_t {
+    kNone,
+    // Needs an epoch-safe head shift, a flush not yet issued (it waits on
+    // an epoch-safe read-only shift), or a snapshot to release its pin:
+    // other sessions must refresh first.
+    kAwaitEpochs,
+    // Waits only for flush I/O already issued, which completes without
+    // any session's help.
+    kAwaitFlush,
+  };
+
   // Allocates `size` bytes at the tail and returns the address, or
   // kInvalidAddress when the allocation must stall for a page rollover
   // (flush/eviction in progress): the caller should Refresh its epoch and
-  // retry. The returned memory is zeroed.
-  Address Allocate(uint32_t size);
-
-  // After a stalled Allocate: true when the rollover waits only for flush
-  // I/O already issued, which completes without any session's help. False
-  // when it still needs an epoch-safe head shift or a snapshot to release
-  // its pin, i.e. other sessions must refresh first.
-  bool StallAwaitsOnlyFlush();
+  // retry. `stall`, when given, receives why. The returned memory is zeroed.
+  Address Allocate(uint32_t size, Stall* stall = nullptr);
 
   // In-memory pointer for `address`; the caller must have checked
   // address >= head() while epoch-protected.
@@ -124,9 +130,9 @@ class HybridLog {
   uint64_t TailMinusBegin() const { return tail() - begin_address(); }
 
  private:
-  // Rollover into page `new_page`; returns true when the frame is ready and
-  // tail may move into it.
-  bool TryPreparePage(uint64_t new_page);
+  // Rollover into page `new_page`; returns kNone when the frame is ready
+  // and tail may move into it, otherwise what the rollover waits on.
+  Stall TryPreparePage(uint64_t new_page);
   void IssueFlushUpTo(Address to);
   void OnFlushRangeDone(Address from, Address to);
 

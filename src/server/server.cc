@@ -312,6 +312,7 @@ Status KvServer::Start() {
   recovery_installed_.store(!options_.recover_on_start,
                             std::memory_order_release);
   recovery_done_.store(!options_.recover_on_start, std::memory_order_release);
+  recovery_refused_.store(false, std::memory_order_release);
   for (auto& w : workers_) {
     Worker* raw = w.get();
     w->thread = std::thread([this, raw] { WorkerLoop(*raw); });
@@ -1303,6 +1304,11 @@ void KvServer::RecoveryMain() {
   // per-shard restore plan; sessions are safe to create once it returns.
   // kNotFound means a fresh store: nothing to restore, serve immediately.
   const Status start = kv_->StartRecovery();
+  if (!start.ok() && start.code() != Status::Code::kNotFound) {
+    recovery_error_ = start;
+    recovery_refused_.store(true, std::memory_order_release);
+    return;
+  }
   recovery_installed_.store(true, std::memory_order_release);
   if (start.ok()) (void)kv_->WaitForRecovery();
   counters_.recovery_duration_ns.store(NowNanos() - serve_start_ns_,
@@ -1310,6 +1316,11 @@ void KvServer::RecoveryMain() {
   // Every shard is terminal (ready or failed) once WaitForRecovery returns,
   // so parked ops whose shard is still unready will never see it ready.
   recovery_done_.store(true, std::memory_order_release);
+}
+
+Status KvServer::recovery_error() const {
+  return recovery_refused_.load(std::memory_order_acquire) ? recovery_error_
+                                                           : Status::Ok();
 }
 
 bool KvServer::ParkIfCold(Connection* c, const net::Request& req) {

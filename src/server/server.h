@@ -129,6 +129,13 @@ class KvServer {
   // metrics registry (cumulative engine phase time across all stores).
   ServerCounters::Snapshot counters() const;
 
+  // Instant restart only: the error with which the backend refused to
+  // recover its directory (anything but kNotFound, e.g. a layout it cannot
+  // restore); Ok otherwise. Nothing is served after such a refusal, since
+  // serving the store fresh would drop what it acknowledged: HELLOs stay
+  // parked, and the owner should stop the server.
+  Status recovery_error() const;
+
  private:
   struct PendingResponse;
   struct Connection;
@@ -224,6 +231,8 @@ class KvServer {
   std::thread recovery_thread_;
   std::atomic<bool> recovery_installed_{true};
   std::atomic<bool> recovery_done_{true};
+  Status recovery_error_;  // written once before recovery_refused_ flips
+  std::atomic<bool> recovery_refused_{false};
   std::atomic<uint32_t> parked_ops_{0};
   std::atomic<bool> first_op_served_{false};
   uint64_t serve_start_ns_ = 0;

@@ -717,6 +717,15 @@ Status ShardedKv::StartRecovery() {
     candidates.erase(candidates.begin());
   }
   if (candidates.empty()) {
+    // A FasterKv checkpoint in the root itself is the layout of a server
+    // that served one store without ShardedKv. Starting fresh over it
+    // would silently drop every update it acknowledged as durable.
+    if (faster::FasterKv::HoldsCheckpoint(root_dir_)) {
+      return Status::FailedPrecondition(
+          root_dir_ +
+          " holds a single-store checkpoint (the layout before one-shard "
+          "ShardedKv); it cannot be recovered as a sharded store");
+    }
     return Status::NotFound("no recoverable cross-shard manifest");
   }
 

@@ -22,6 +22,8 @@ const char* CodeName(Status::Code code) {
       return "Busy";
     case Status::Code::kOutOfMemory:
       return "OutOfMemory";
+    case Status::Code::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -22,6 +22,7 @@ class Status {
     kInvalidArgument,
     kBusy,           // resource temporarily unavailable
     kOutOfMemory,
+    kFailedPrecondition,  // state on disk this build refuses to act on
   };
 
   Status() : code_(Code::kOk) {}
@@ -49,6 +50,9 @@ class Status {
   }
   static Status OutOfMemory(std::string m = "") {
     return Status(Code::kOutOfMemory, std::move(m));
+  }
+  static Status FailedPrecondition(std::string m = "") {
+    return Status(Code::kFailedPrecondition, std::move(m));
   }
 
   bool ok() const { return code_ == Code::kOk; }

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "io/fault_injection.h"
@@ -342,6 +343,184 @@ TEST(FasterKvTest, RolloverWaitingOnlyForAFlushCompletesInline) {
     ASSERT_EQ(kv.Upsert(*s, k, &v), OpStatus::kOk) << k;
   }
   kv.StopSession(s);
+}
+
+// Appends past the in-memory log with two sessions on one thread until one
+// of them parks on a rollover; returns that session's index and the key it
+// parked on. The rollover then waits on the other session's epoch.
+struct Appender {
+  explicit Appender(FasterKv& store)
+      : kv(store), sessions{store.StartSession(), store.StartSession()} {}
+
+  FasterKv& kv;
+  Session* sessions[2];
+  uint64_t next_key = 0;
+  struct Op {
+    int session;
+    uint64_t serial;
+    uint64_t key;
+    int64_t value;
+  };
+  std::vector<Op> ops;
+
+  OpStatus Upsert(int i, uint64_t key, int64_t value) {
+    const OpStatus st = kv.Upsert(*sessions[i], key, &value);
+    ops.push_back({i, sessions[i]->serial(), key, value});
+    return st;
+  }
+  // Returns the parked session; its op is on ops.back().key.
+  int AppendUntilParked() {
+    for (uint64_t n = 0; n < 1'000'000; ++n) {
+      const int i = static_cast<int>(n & 1);
+      const uint64_t k = next_key++;
+      if (Upsert(i, k, static_cast<int64_t>(k) + 1) == OpStatus::kPending) {
+        return i;
+      }
+      kv.CompletePending(*sessions[i]);
+    }
+    return -1;
+  }
+};
+
+FasterKv::Options SmallLogOptions(const std::string& dir) {
+  FasterKv::Options o = SmallOptions(dir);
+  o.index_buckets = 1 << 16;
+  o.page_bits = 16;  // 8 x 64 KiB in memory
+  o.memory_pages = 8;
+  return o;
+}
+
+// Regression: an append that stalls in the prepare phase parks holding its
+// bucket's shared latch (§6.2.1). The other session then writes the parked
+// op's key from in-progress; that write must wait for the latch. Without it
+// the (v+1) record leaves the parked version-v op retrying forever, so
+// wait-pending and the checkpoint never end. The recovered store must hold
+// exactly each session's ops up to its CPR point.
+TEST(FasterKvTest, AppendParkedInPrepareHoldsItsLatchThroughTheHandoff) {
+  cpr::testing::AbortAfter deadline(
+      std::chrono::seconds(60), "a checkpoint never finished its handoff");
+  const std::string dir = FreshDir();
+  uint64_t guids[2] = {0, 0};
+  std::vector<Appender::Op> ops;
+  uint64_t parked_key = 0;
+  int parker = -1;
+  {
+    FasterKv kv(SmallLogOptions(dir));
+    Appender app(kv);
+    for (int i = 0; i < 2; ++i) guids[i] = app.sessions[i]->guid();
+    const int first = app.AppendUntilParked();
+    ASSERT_GE(first, 0);
+    // The rollover still waits on the other session; a checkpoint starts,
+    // and the parked session's next append stalls on it in prepare.
+    std::atomic<bool> committed{false};
+    ASSERT_TRUE(kv.Checkpoint(CommitVariant::kFoldOver, true,
+                              [&](uint64_t, const auto&) {
+                                committed.store(true);
+                              }));
+    parker = first;
+    parked_key = app.next_key++;
+    ASSERT_EQ(app.Upsert(parker, parked_key, -7), OpStatus::kPending);
+    ASSERT_EQ(app.sessions[parker]->phase(), Phase::kPrepare);
+
+    // The other session enters in-progress (version v+1) and writes the
+    // parked key: the handoff must wait for the parked op.
+    Session& other = *app.sessions[parker ^ 1];
+    for (int n = 0; other.phase() != Phase::kInProgress; ++n) {
+      ASSERT_LT(n, 1000);
+      kv.Refresh(other);
+    }
+    EXPECT_EQ(app.Upsert(parker ^ 1, parked_key, -9), OpStatus::kPending);
+    for (int n = 0; n < 16; ++n) app.Upsert(parker ^ 1, app.next_key++, n);
+
+    while (!committed.load() || app.sessions[0]->pending_count() +
+                                        app.sessions[1]->pending_count() >
+                                    0) {
+      for (Session* s : app.sessions) {
+        kv.CompletePending(*s);
+        kv.Refresh(*s);
+      }
+    }
+    for (Session* s : app.sessions) kv.StopSession(s);
+    ops = std::move(app.ops);
+  }
+
+  FasterKv kv(SmallLogOptions(dir));
+  ASSERT_TRUE(kv.Recover().ok());
+  uint64_t points[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(kv.ContinueSession(guids[i], &points[i]).ok());
+  }
+  // The parked op belongs to the commit; the in-progress write does not.
+  std::unordered_map<uint64_t, int64_t> expected;
+  for (const Appender::Op& op : ops) {
+    if (op.key == parked_key) {
+      EXPECT_EQ(op.serial <= points[op.session], op.session == parker)
+          << "session " << op.session;
+    }
+    if (op.serial <= points[op.session]) expected[op.key] = op.value;
+  }
+  ASSERT_EQ(expected[parked_key], -7);
+  Session* s = kv.StartSession();
+  std::unordered_map<uint64_t, int64_t> async_values;
+  s->set_async_callback([&](const AsyncResult& r) {
+    if (r.found) async_values[r.key] = V(r.value.data());
+  });
+  std::vector<uint64_t> keys;
+  for (const Appender::Op& op : ops) keys.push_back(op.key);
+  std::unordered_map<uint64_t, int64_t> read;
+  for (const uint64_t k : keys) {
+    int64_t out = 0;
+    const OpStatus st = kv.Read(*s, k, &out);
+    if (st == OpStatus::kOk) read[k] = out;
+  }
+  kv.CompletePending(*s, /*wait_for_all=*/true);
+  for (const auto& [k, v] : async_values) read[k] = v;
+  EXPECT_EQ(read, expected);
+  kv.StopSession(s);
+}
+
+// A session's later ops on a key never overtake its parked op on that key:
+// they park behind it and take effect in serial order. Ops on other keys
+// still run inline.
+TEST(FasterKvTest, OpsOnAParkedKeyWaitBehindIt) {
+  cpr::testing::AbortAfter deadline(std::chrono::seconds(60),
+                                    "ops behind a parked op never completed");
+  FasterKv kv(SmallLogOptions(FreshDir()));
+  Appender app(kv);
+  const int i = app.AppendUntilParked();
+  ASSERT_GE(i, 0);
+  Session& s = *app.sessions[i];
+  const uint64_t key = app.ops.back().key;
+  const int64_t upserted = app.ops.back().value;
+  std::vector<AsyncResult> done;
+  s.set_async_callback([&](const AsyncResult& r) { done.push_back(r); });
+
+  ASSERT_EQ(kv.Rmw(s, key, 10), OpStatus::kPending);
+  int64_t out = 0;
+  ASSERT_EQ(kv.Read(s, key, &out), OpStatus::kPending);
+  // The key before it is still in memory and not parked.
+  ASSERT_EQ(kv.Read(s, key - 2, &out), OpStatus::kOk);
+  EXPECT_EQ(out, static_cast<int64_t>(key - 2) + 1);
+
+  while (s.pending_count() > 0) {
+    for (Session* x : app.sessions) {
+      kv.CompletePending(*x);
+      kv.Refresh(*x);
+    }
+  }
+  ASSERT_EQ(done.size(), 3u);
+  for (size_t n = 0; n < done.size(); ++n) {
+    EXPECT_EQ(done[n].key, key);
+    if (n > 0) {
+      EXPECT_GT(done[n].serial, done[n - 1].serial);
+    }
+  }
+  EXPECT_EQ(done[0].kind, OpKind::kUpsert);
+  EXPECT_EQ(done[1].kind, OpKind::kRmw);
+  ASSERT_EQ(done[2].kind, OpKind::kRead);
+  ASSERT_TRUE(done[2].found);
+  EXPECT_EQ(V(done[2].value.data()), upserted + 10);
+  for (Session* x : app.sessions) kv.StopSession(x);
 }
 
 TEST(FasterKvTest, SerialNumbersIncreasePerOperation) {

@@ -129,7 +129,8 @@ TEST(ServerE2E, BasicOpsRoundTrip) {
 // live one appends far past the in-memory log. Every page rollover waits on
 // the idle session's epoch, which only the same worker refreshes; the
 // stalled op must park instead of hanging the worker, and every op is
-// acknowledged.
+// acknowledged. Each upsert is pipelined with a read of its key, which must
+// see it even when the upsert parked.
 TEST(ServerE2E, AppendsPastTheLogWithAnIdleSessionOnTheSameWorker) {
   cpr::testing::AbortAfter deadline(std::chrono::seconds(120),
                                     "the worker hung on a log rollover");
@@ -155,13 +156,22 @@ TEST(ServerE2E, AppendsPastTheLogWithAnIdleSessionOnTheSameWorker) {
     for (uint64_t k = base; k < base + kWindow; ++k) {
       const int64_t v = static_cast<int64_t>(k);
       c.EnqueueUpsert(k, &v);
+      c.EnqueueRead(k);
     }
     ASSERT_TRUE(c.Flush().ok());
     results.clear();
     ASSERT_TRUE(c.Drain(&results).ok()) << "keys from " << base;
-    ASSERT_EQ(results.size(), static_cast<size_t>(kWindow));
-    for (const auto& r : results) {
-      ASSERT_EQ(r.status, net::WireStatus::kOk) << "keys from " << base;
+    ASSERT_EQ(results.size(), static_cast<size_t>(2 * kWindow));
+    for (size_t i = 0; i < results.size(); ++i) {
+      const auto& r = results[i];
+      const uint64_t k = base + i / 2;
+      ASSERT_EQ(r.status, net::WireStatus::kOk) << "key " << k;
+      if (r.op == net::Op::kRead) {
+        int64_t v = -1;
+        ASSERT_EQ(r.value.size(), sizeof(v)) << "key " << k;
+        std::memcpy(&v, r.value.data(), sizeof(v));
+        ASSERT_EQ(v, static_cast<int64_t>(k)) << "read overtook its upsert";
+      }
     }
   }
   bool found = false;
@@ -583,6 +593,44 @@ TEST(ServerE2E, ShardedCrashRecoveryDurableClientExactlyOnce) {
 // completes, HELLO parks until the commit point is pinned, and ops issued
 // while shards are still restoring (parked, demand-prioritized, or rejected
 // RECOVERING and retried by the client) apply exactly once.
+// Instant restart over a directory holding a bare single-store FasterKv
+// checkpoint: the one-shard ShardedKv refuses to recover it, and the server
+// reports the refusal and serves nothing instead of starting empty.
+TEST(ServerE2E, InstantRestartRefusesASingleStoreDirectory) {
+  const std::string dir = FreshDir();
+  {
+    FasterKv store(SmallOptions(dir));
+    faster::Session* s = store.StartSession();
+    const int64_t v = 7;
+    ASSERT_EQ(store.Upsert(*s, 1, &v), faster::OpStatus::kOk);
+    ASSERT_TRUE(store.Checkpoint(faster::CommitVariant::kFoldOver, true));
+    while (store.CheckpointInProgress()) store.Refresh(*s);
+    store.StopSession(s);
+  }
+  kv::ShardedKv kv(ShardedOptions(dir, 1));
+  KvServerOptions ropts = ServerOptions();
+  ropts.recover_on_start = true;
+  KvServer server(&kv, ropts);
+  ASSERT_TRUE(server.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.recovery_error().ok() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.recovery_error().code(),
+            Status::Code::kFailedPrecondition);
+
+  // A client's HELLO is never answered with a session.
+  CprClient::Options copts = ClientOptions(server.port());
+  copts.recv_timeout_ms = 200;
+  copts.connect_attempts = 1;
+  CprClient c(copts);
+  EXPECT_FALSE(c.Connect().ok());
+  server.Stop();
+  EXPECT_EQ(server.counters().recovery_duration_ns, 0u);
+}
+
 TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
   const std::string dir = FreshDir();
   constexpr uint32_t kShards = 8;

@@ -432,6 +432,26 @@ TEST(ShardedKvTest, RecoverWithoutManifestIsNotFound) {
   }
 }
 
+// A directory holding a bare FasterKv checkpoint was written by a server
+// that served one store without ShardedKv. Recovering it as a sharded store
+// would start empty and drop acknowledged updates: recovery refuses.
+TEST(ShardedKvTest, RecoverRefusesASingleStoreDirectory) {
+  const std::string dir = FreshDir();
+  {
+    faster::FasterKv store(SmallOptions(dir).base);
+    faster::Session* s = store.StartSession();
+    const int64_t v = 42;
+    ASSERT_EQ(store.Upsert(*s, 1, &v), faster::OpStatus::kOk);
+    ASSERT_TRUE(store.Checkpoint(faster::CommitVariant::kFoldOver, true));
+    while (store.CheckpointInProgress()) store.Refresh(*s);
+    ASSERT_NE(store.LastCheckpointToken(), 0u);
+    store.StopSession(s);
+  }
+  kv::ShardedKv kv(SmallOptions(dir, 1));
+  EXPECT_EQ(kv.StartRecovery().code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(kv.Recover().code(), Status::Code::kFailedPrecondition);
+}
+
 TEST(ShardedKvTest, StartRecoveryExposesPerShardReadiness) {
   const std::string dir = FreshDir();
   constexpr uint64_t kGuid = 7;
