@@ -66,9 +66,9 @@ class HybridLog {
   // Why a page rollover cannot hand out its frame yet.
   enum class Stall : uint8_t {
     kNone,
-    // Needs an epoch-safe head shift, a flush not yet issued (it waits on
-    // an epoch-safe read-only shift), or a snapshot to release its pin:
-    // other sessions must refresh first.
+    // Needs an epoch-safe head shift or a flush not yet issued (it waits
+    // on an epoch-safe read-only shift), both of which wait for other
+    // sessions to refresh; or a snapshot still pins the frame.
     kAwaitEpochs,
     // Waits only for flush I/O already issued, which completes without
     // any session's help.
