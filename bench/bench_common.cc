@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/reqtrace.h"
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/scratch_dirs.h"
@@ -53,6 +54,28 @@ std::string FreshBenchDir(const std::string& tag) {
   // in parallel CI lanes on one machine) never remove each other's live
   // durability directories; removed when the bench exits.
   return ScratchDirRegistry::Instance().Fresh("/tmp", "cpr_bench_" + tag);
+}
+
+uint64_t PhaseCounterNs(int phase) {
+  return obs::MetricsRegistry::Default()
+      .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
+                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
+      ->Value();
+}
+
+obs::HistogramMetric* StageHist(uint32_t stage) {
+  return obs::MetricsRegistry::Default().GetHistogram(
+      std::string("cpr_req_stage_ns{stage=\"") + obs::kReqStageNames[stage] +
+      "\"}");
+}
+
+obs::HistogramData HistDelta(const obs::HistogramData& after,
+                             const obs::HistogramData& before) {
+  obs::HistogramData d = after;
+  for (size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] -= before.buckets[i];
+  d.sum -= before.sum;
+  d.count -= before.count;
+  return d;
 }
 
 // -- Transactional database --------------------------------------------------

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "faster/faster.h"
+#include "obs/metrics.h"
 #include "txdb/db.h"
 #include "util/instrumentation.h"
 #include "workloads/ycsb.h"
@@ -108,6 +109,23 @@ struct FasterRunResult {
 };
 
 FasterRunResult RunFaster(const FasterRunConfig& config);
+
+// -- Per-run deltas of process-cumulative metrics -----------------------------
+//
+// The registry's checkpoint phase counters and request-stage histograms add
+// up across every store and run in the process; sampling them around a run
+// turns them into that run's figures.
+
+// cpr_faster_checkpoint_phase_ns_total for phase `phase`
+// (ServerCounters::kCheckpointPhaseNames order).
+uint64_t PhaseCounterNs(int phase);
+
+// cpr_req_stage_ns for request stage `stage` (obs::ReqStage order).
+obs::HistogramMetric* StageHist(uint32_t stage);
+
+// `after` minus `before`, bucket by bucket.
+obs::HistogramData HistDelta(const obs::HistogramData& after,
+                             const obs::HistogramData& before);
 
 // -- Output helpers ----------------------------------------------------------
 

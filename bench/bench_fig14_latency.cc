@@ -28,15 +28,6 @@ struct Cell {
   uint64_t phase_ns[4] = {0, 0, 0, 0};  // per-run checkpoint phase time
 };
 
-// The registry's phase counters are process-cumulative; sampling them around
-// each run turns them into per-run durations.
-uint64_t PhaseCounterNs(int phase) {
-  return obs::MetricsRegistry::Default()
-      .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
-      ->Value();
-}
-
 void WriteStatsJson(const char* path, uint32_t threads, double seconds,
                     const std::vector<Cell>& cells) {
   std::FILE* f = std::fopen(path, "w");

@@ -4,9 +4,7 @@
 // per-operation costs underlying the paper's throughput numbers.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <string>
-
+#include "bench_common.h"
 #include "epoch/epoch.h"
 #include "faster/faster.h"
 #include "txdb/db.h"
@@ -17,34 +15,27 @@
 namespace cpr {
 namespace {
 
-std::string FreshDir(const char* tag) {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "/tmp/cpr_micro_" + std::string(tag) + std::to_string(counter++);
-  std::string cmd = "rm -rf " + dir;
-  (void)!system(cmd.c_str());
-  return dir;
-}
+using bench::FreshBenchDir;
 
 void BM_EpochRefresh(benchmark::State& state) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(epoch.Refresh());
+    benchmark::DoNotOptimize(epoch.RefreshSlot(slot));
   }
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 BENCHMARK(BM_EpochRefresh);
 
 void BM_EpochBumpWithAction(benchmark::State& state) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   uint64_t sink = 0;
   for (auto _ : state) {
     epoch.BumpEpoch([&sink] { ++sink; });
-    epoch.Refresh();
+    epoch.RefreshSlot(slot);
   }
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EpochBumpWithAction);
@@ -78,7 +69,7 @@ BENCHMARK(BM_IndexFindOrCreate);
 
 void BM_FasterUpsert(benchmark::State& state) {
   faster::FasterKv::Options o;
-  o.dir = FreshDir("upsert");
+  o.dir = FreshBenchDir("micro_upsert");
   o.index_buckets = 1 << 16;
   faster::FasterKv kv(o);
   faster::Session* s = kv.StartSession();
@@ -93,7 +84,7 @@ BENCHMARK(BM_FasterUpsert);
 
 void BM_FasterRead(benchmark::State& state) {
   faster::FasterKv::Options o;
-  o.dir = FreshDir("read");
+  o.dir = FreshBenchDir("micro_read");
   o.index_buckets = 1 << 16;
   faster::FasterKv kv(o);
   faster::Session* s = kv.StartSession();
@@ -110,7 +101,7 @@ BENCHMARK(BM_FasterRead);
 
 void BM_FasterRmw(benchmark::State& state) {
   faster::FasterKv::Options o;
-  o.dir = FreshDir("rmw");
+  o.dir = FreshBenchDir("micro_rmw");
   o.index_buckets = 1 << 16;
   faster::FasterKv kv(o);
   faster::Session* s = kv.StartSession();
@@ -126,7 +117,7 @@ void BM_TxdbSingleKey(benchmark::State& state) {
   const auto mode = static_cast<txdb::DurabilityMode>(state.range(0));
   txdb::TransactionalDb::Options o;
   o.mode = mode;
-  o.durability_dir = FreshDir("txdb");
+  o.durability_dir = FreshBenchDir("micro_txdb");
   txdb::TransactionalDb db(o);
   const uint32_t t = db.CreateTable(100'000, 8);
   txdb::ThreadContext* ctx = db.RegisterThread();

@@ -15,8 +15,8 @@
 // With --crash-restart the benchmark instead measures instant restart:
 // preload + checkpoint a multi-shard store, tear it down ("power loss"),
 // restart the server with recover_on_start, and drive a client against the
-// recovering store. Reports time-to-first-op (listener up, first data op
-// answered), time-to-full-recovery (every shard restored), and
+// recovering store. Reports time-to-first-op (first accepted connection to
+// first data op answered), time-to-full-recovery (every shard restored), and
 // time-to-full-throughput (client-observed window rate back at steady
 // state), plus the parked/RECOVERING traffic counts during the window.
 //
@@ -59,32 +59,6 @@ struct NetRunResult {
   obs::HistogramData stage_hist[obs::kNumReqStages];
   obs::HistogramData e2e_hist;
 };
-
-// The registry's phase counters are process-cumulative (all stores, all
-// runs); sampling them around each run turns them into per-run durations.
-uint64_t PhaseCounterNs(int phase) {
-  return obs::MetricsRegistry::Default()
-      .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
-      ->Value();
-}
-
-// The request-stage histograms are likewise process-cumulative; before/after
-// samples around each run give per-run distributions.
-obs::HistogramMetric* StageHist(uint32_t stage) {
-  return obs::MetricsRegistry::Default().GetHistogram(
-      std::string("cpr_req_stage_ns{stage=\"") + obs::kReqStageNames[stage] +
-      "\"}");
-}
-
-obs::HistogramData HistDelta(const obs::HistogramData& after,
-                             const obs::HistogramData& before) {
-  obs::HistogramData d = after;
-  for (size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] -= before.buckets[i];
-  d.sum -= before.sum;
-  d.count -= before.count;
-  return d;
-}
 
 NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
                     uint64_t keys, double seconds, uint32_t read_pct,

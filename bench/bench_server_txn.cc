@@ -58,23 +58,6 @@ struct TxnRunResult {
   obs::HistogramData e2e_hist;
 };
 
-// The request-stage histograms are process-cumulative; before/after samples
-// around each run give per-run distributions.
-obs::HistogramMetric* StageHist(uint32_t stage) {
-  return obs::MetricsRegistry::Default().GetHistogram(
-      std::string("cpr_req_stage_ns{stage=\"") + obs::kReqStageNames[stage] +
-      "\"}");
-}
-
-obs::HistogramData HistDelta(const obs::HistogramData& after,
-                             const obs::HistogramData& before) {
-  obs::HistogramData d = after;
-  for (size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] -= before.buckets[i];
-  d.sum -= before.sum;
-  d.count -= before.count;
-  return d;
-}
-
 TxnRunResult RunTxnNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
                        uint64_t rows, uint32_t txn_ops, double seconds,
                        uint32_t read_pct, bool durable, uint32_t checkpoint_ms,

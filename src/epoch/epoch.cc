@@ -6,64 +6,18 @@
 
 namespace cpr {
 
-std::atomic<uint64_t> EpochFramework::next_instance_id_{1};
-
-namespace {
-
-// Per-thread registry of (framework instance id -> slot). A thread rarely
-// protects more than one framework at a time, so a tiny linear-searched
-// vector beats any map.
-struct SlotBinding {
-  uint64_t instance_id;
-  int32_t slot;
-};
-
-thread_local std::vector<SlotBinding> tls_bindings;
-
-int32_t FindBinding(uint64_t instance_id) {
-  for (const auto& b : tls_bindings) {
-    if (b.instance_id == instance_id) return b.slot;
-  }
-  return -1;
-}
-
-void AddBinding(uint64_t instance_id, int32_t slot) {
-  tls_bindings.push_back(SlotBinding{instance_id, slot});
-}
-
-void RemoveBinding(uint64_t instance_id) {
-  for (size_t i = 0; i < tls_bindings.size(); ++i) {
-    if (tls_bindings[i].instance_id == instance_id) {
-      tls_bindings[i] = tls_bindings.back();
-      tls_bindings.pop_back();
-      return;
-    }
-  }
-}
-
-}  // namespace
-
 EpochFramework::EpochFramework(uint32_t max_threads)
     : max_threads_(max_threads),
       table_(new Entry[max_threads]),
       drain_list_(new DrainEntry[kDrainListSize]),
       // Epoch 0 is reserved as the "unprotected" sentinel; start at 1.
       current_epoch_(1),
-      safe_epoch_(0),
-      instance_id_(next_instance_id_.fetch_add(1)) {}
+      safe_epoch_(0) {}
 
 EpochFramework::~EpochFramework() {
   // Run any remaining actions: with no protected threads everything pending
   // is safe by definition.
   TickUnprotected();
-}
-
-int32_t EpochFramework::SlotOfCurrentThread() const {
-  return FindBinding(instance_id_);
-}
-
-bool EpochFramework::IsProtected() const {
-  return SlotOfCurrentThread() >= 0;
 }
 
 int32_t EpochFramework::AcquireSlot() {
@@ -95,26 +49,6 @@ void EpochFramework::ReleaseSlot(int32_t slot) {
   table_[slot].local_epoch.store(kUnprotectedEpoch, std::memory_order_release);
   // This slot may have been the last straggler holding an old epoch.
   Drain(ComputeNewSafeEpoch());
-}
-
-void EpochFramework::Acquire() {
-  assert(!IsProtected());
-  const int32_t slot = AcquireSlot();
-  assert(slot >= 0 && "epoch table full: raise max_threads");
-  AddBinding(instance_id_, slot);
-}
-
-void EpochFramework::Release() {
-  const int32_t slot = SlotOfCurrentThread();
-  assert(slot >= 0);
-  RemoveBinding(instance_id_);
-  ReleaseSlot(slot);
-}
-
-uint64_t EpochFramework::Refresh() {
-  const int32_t slot = SlotOfCurrentThread();
-  assert(slot >= 0);
-  return RefreshSlot(slot);
 }
 
 uint64_t EpochFramework::ComputeNewSafeEpoch() {
@@ -182,13 +116,8 @@ void EpochFramework::Drain(uint64_t safe) {
 void EpochFramework::TickUnprotected() { Drain(ComputeNewSafeEpoch()); }
 
 void EpochFramework::WaitUntilSafe(uint64_t epoch) {
-  const bool is_protected = IsProtected();
   while (true) {
-    if (is_protected) {
-      Refresh();
-    } else {
-      TickUnprotected();
-    }
+    TickUnprotected();
     if (safe_epoch_.load(std::memory_order_acquire) >= epoch) return;
     std::this_thread::yield();
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "util/cacheline.h"
 
@@ -14,25 +13,26 @@ namespace cpr {
 // Epoch protection framework (paper §3), modeled on FASTER's LightEpoch.
 //
 // A shared atomic counter E ("current epoch") can be bumped by any thread.
-// Every participating thread T keeps a thread-local copy E_T in a shared
-// epoch table (one cache line per thread) and refreshes it periodically.
-// An epoch c is "safe" once every protected thread has E_T > c; the framework
-// tracks the maximal safe epoch E_s and maintains the invariant
-//     for all protected T:   E_s < E_T <= E.
+// Every participant P (a thread, or a session a thread drives) keeps a local
+// copy E_P in a shared epoch table (one cache line per slot) and refreshes
+// it periodically. An epoch c is "safe" once every protected slot has
+// E_P > c; the framework tracks the maximal safe epoch E_s and maintains the
+// invariant
+//     for all protected P:   E_s < E_P <= E.
 //
 // Trigger actions: BumpEpoch(action) increments E from e to e+1 and arranges
 // for `action` to run exactly once, on whichever thread first refreshes after
-// e became safe. Because threads perform their thread-local state transitions
-// *before* publishing a new E_T (see Refresh()'s contract), "epoch e is safe"
-// implies every thread has observed any global state published before the
-// bump — this is how the CPR state machines realize their "when all threads
-// have entered phase X" transition conditions without any blocking.
+// e became safe. Because participants perform their local state transitions
+// *before* publishing a new E_P (see RefreshSlot()'s contract), "epoch e is
+// safe" implies every participant has observed any global state published
+// before the bump — this is how the CPR state machines realize their "when
+// all threads have entered phase X" transition conditions without any
+// blocking.
 //
-// Thread model: a thread calls Acquire() once (registering an epoch-table
-// entry), then Refresh() periodically from its operation loop, and Release()
-// when done. A registered thread that stops refreshing stalls trigger
-// actions, exactly as a stalled thread stalls an epoch-based system in
-// practice; tests cover this.
+// Participant model: AcquireSlot() once (registering an epoch-table entry),
+// then RefreshSlot() periodically, and ReleaseSlot() when done. A slot that
+// stops refreshing stalls trigger actions, exactly as a stalled thread
+// stalls an epoch-based system in practice; tests cover this.
 class EpochFramework {
  public:
   static constexpr uint32_t kDefaultMaxThreads = 128;
@@ -43,30 +43,27 @@ class EpochFramework {
   EpochFramework(const EpochFramework&) = delete;
   EpochFramework& operator=(const EpochFramework&) = delete;
 
-  // Reserves an epoch-table entry for the calling thread and protects it at
-  // the current epoch. Must not already be acquired on this framework.
-  void Acquire();
-
-  // Removes the calling thread's entry. Pending trigger actions no longer
-  // wait on this thread.
-  void Release();
-
-  // -- Slot-handle API ----------------------------------------------------
-  //
-  // Protects a logical participant (e.g. a KV session owned by a network
-  // connection) rather than the calling thread, so one thread can drive many
-  // protected participants. The returned handle must be refreshed regularly
-  // (RefreshSlot) and released exactly once (ReleaseSlot). Calls on a given
-  // slot must be externally serialized, but may come from different threads
-  // over the slot's lifetime — the safe-epoch invariant only cares that the
-  // slot's entry advances, not which thread advances it. The thread-bound
-  // Acquire/Refresh/Release above are wrappers over these.
+  // A slot protects a logical participant (e.g. a KV session owned by a
+  // network connection) rather than the calling thread, so one thread can
+  // drive many protected participants. The returned handle must be
+  // refreshed regularly (RefreshSlot) and released exactly once
+  // (ReleaseSlot). Calls on a given slot must be externally serialized, but
+  // may come from different threads over the slot's lifetime — the
+  // safe-epoch invariant only cares that the slot's entry advances, not
+  // which thread advances it.
 
   // Reserves an epoch-table entry and protects it at the current epoch.
   // Returns -1 if the table is full (raise max_threads).
   int32_t AcquireSlot();
 
-  // Publishes progress for `slot`: same contract as Refresh().
+  // Publishes progress for `slot`: sets E_P = E, recomputes the maximal
+  // safe epoch, and runs any drain-list actions that became safe. Returns
+  // the slot's (new) epoch.
+  //
+  // Contract for state-machine users: perform all local transitions
+  // implied by global state *before* calling RefreshSlot — never after, or
+  // the safe-epoch guarantee ("all participants observed the transition")
+  // is void.
   uint64_t RefreshSlot(int32_t slot);
 
   // Publishes `observed` — a current_epoch() value read before the caller
@@ -79,19 +76,6 @@ class EpochFramework {
   // Frees `slot`; pending trigger actions no longer wait on it.
   void ReleaseSlot(int32_t slot);
 
-  // True if the calling thread currently holds an entry on this framework.
-  bool IsProtected() const;
-
-  // Publishes the calling thread's progress: sets E_T = E, recomputes the
-  // maximal safe epoch, and runs any drain-list actions that became safe.
-  // Returns the (new) thread-local epoch.
-  //
-  // Contract for state-machine users: perform all thread-local transitions
-  // implied by global state *before* calling Refresh, or inside the refresh
-  // hook of the owning system — never after, or the safe-epoch guarantee
-  // ("all threads observed the transition") is void.
-  uint64_t Refresh();
-
   // Increments the current epoch. Returns the new epoch value.
   uint64_t BumpEpoch();
 
@@ -103,9 +87,10 @@ class EpochFramework {
   // be protected (used by background threads).
   void TickUnprotected();
 
-  // Blocks (politely spinning and refreshing if the caller is protected)
-  // until epoch `epoch` is safe and every drain action registered at or
-  // before it has run.
+  // Blocks (politely spinning) until epoch `epoch` is safe and every drain
+  // action registered at or before it has run. Other threads must refresh
+  // the protected slots; a slot only the caller refreshes never lets it
+  // return.
   void WaitUntilSafe(uint64_t epoch);
 
   uint64_t current_epoch() const {
@@ -116,7 +101,7 @@ class EpochFramework {
   }
   uint32_t max_threads() const { return max_threads_; }
 
-  // Number of registered (protected) threads; O(max_threads).
+  // Number of protected slots; O(max_threads).
   uint32_t ProtectedThreadCount() const;
 
   // Number of drain-list actions not yet executed.
@@ -166,9 +151,6 @@ class EpochFramework {
   // epoch.
   void Drain(uint64_t safe);
 
-  // Slot index of the calling thread, or -1.
-  int32_t SlotOfCurrentThread() const;
-
   const uint32_t max_threads_;
   std::unique_ptr<Entry[]> table_;
   std::unique_ptr<DrainEntry[]> drain_list_;
@@ -176,11 +158,6 @@ class EpochFramework {
 
   alignas(kCacheLineBytes) std::atomic<uint64_t> current_epoch_;
   alignas(kCacheLineBytes) std::atomic<uint64_t> safe_epoch_;
-
-  // Monotonically increasing instance id used to key the thread-local slot
-  // cache (threads may interleave work on several frameworks).
-  const uint64_t instance_id_;
-  static std::atomic<uint64_t> next_instance_id_;
 };
 
 }  // namespace cpr

@@ -170,25 +170,31 @@ Session* FasterKv::StartSession(uint64_t guid) {
   session->guid_ = guid != 0 ? guid : (NowNanos() ^ next_guid_.fetch_add(1));
   session->epoch_slot_ = slot;
   Session* raw = session.get();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    if (guid != 0) {
-      // A recovered session resumes its serial numbering at the recovered
-      // commit point, so new operations extend the durable prefix instead
-      // of renumbering it.
-      auto it = recovered_points_.find(guid);
-      if (it != recovered_points_.end()) {
-        raw->serial_ = it->second;
-        raw->cpr_point_serial_.store(it->second, std::memory_order_relaxed);
-      }
-    }
-    sessions_.push_back(std::move(session));
-  }
+  std::lock_guard<std::mutex> lock(sessions_mu_);
   const uint64_t st = state_.load(std::memory_order_acquire);
   const Phase ph = SystemState::PhaseOf(st);
   const uint32_t v = SystemState::VersionOf(st);
   raw->phase_ = ph;
   raw->version_ = ph >= Phase::kInProgress ? v + 1 : v;
+  if (auto it = stopped_.find(raw->guid_); it != stopped_.end()) {
+    // A stopped session resumes at its final serial. If it stopped during
+    // the commit still in flight, that commit keeps the point it was given.
+    const StoppedSession& stopped = it->second;
+    raw->serial_ = stopped.serial;
+    raw->cpr_point_serial_.store(
+        ph != Phase::kRest && stopped.version == v ? stopped.point
+                                                   : stopped.serial,
+        std::memory_order_relaxed);
+    stopped_.erase(it);
+  } else if (auto rec = recovered_points_.find(raw->guid_);
+             rec != recovered_points_.end()) {
+    // A recovered session resumes its serial numbering at the recovered
+    // commit point, so new operations extend the durable prefix instead
+    // of renumbering it.
+    raw->serial_ = rec->second;
+    raw->cpr_point_serial_.store(rec->second, std::memory_order_relaxed);
+  }
+  sessions_.push_back(std::move(session));
   return raw;
 }
 
@@ -197,14 +203,16 @@ void FasterKv::StopSession(Session* session) {
   CompletePending(*session, /*wait_for_all=*/true);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    if (SystemState::PhaseOf(state_.load(std::memory_order_acquire)) !=
-        Phase::kRest) {
-      // Contribute this session's commit point to the in-flight commit.
-      const uint64_t point =
+    StoppedSession& stopped = stopped_[session->guid_];
+    stopped = StoppedSession{session->serial_, 0, 0};
+    const uint64_t st = state_.load(std::memory_order_acquire);
+    if (SystemState::PhaseOf(st) != Phase::kRest) {
+      // The commit in flight gets the session's point for its version.
+      stopped.version = SystemState::VersionOf(st);
+      stopped.point =
           session->phase_ <= Phase::kPrepare
               ? session->serial_
               : session->cpr_point_serial_.load(std::memory_order_acquire);
-      parted_points_.push_back(SessionCommitPoint{session->guid_, point});
     }
     for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
       if (it->get() == session) {
@@ -863,15 +871,18 @@ void FasterKv::EnterWaitFlush(uint64_t expected_state) {
                std::memory_order_release);
 }
 
-std::vector<SessionCommitPoint> FasterKv::CollectCommitPoints() {
+std::vector<SessionCommitPoint> FasterKv::CollectCommitPoints(
+    uint32_t version) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   std::vector<SessionCommitPoint> points;
   for (const auto& s : sessions_) {
     points.push_back(SessionCommitPoint{
         s->guid_, s->cpr_point_serial_.load(std::memory_order_acquire)});
   }
-  for (const SessionCommitPoint& p : parted_points_) points.push_back(p);
-  parted_points_.clear();
+  for (const auto& [guid, stopped] : stopped_) {
+    points.push_back(SessionCommitPoint{
+        guid, stopped.version == version ? stopped.point : stopped.serial});
+  }
   return points;
 }
 
@@ -886,7 +897,7 @@ void FasterKv::FinalizeCheckpoint(uint64_t expected_state) {
     ClosePhaseSpan("wait_flush", phase_wait_flush_ns_, NowNanos());
     phase_start_ns_.store(0, std::memory_order_relaxed);  // round over
     const uint32_t v = SystemState::VersionOf(expected_state);
-    ckpt_.points = CollectCommitPoints();
+    ckpt_.points = CollectCommitPoints(v);
     ckpt_.flushed = ckpt_.variant == CommitVariant::kFoldOver
                         ? ckpt_.lhe
                         : ckpt_.snapshot_start;
@@ -1488,6 +1499,10 @@ Status FasterKv::RecoverFromToken(uint64_t token) {
     if (!s.ok()) return s;
   }
   recovered_points_.clear();
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    stopped_.clear();
+  }
   {
     std::lock_guard<std::mutex> dlock(durable_mu_);
     durable_points_.clear();

@@ -161,9 +161,14 @@ class FasterKv {
   // Starts a session. guid 0 draws a fresh id. Each session owns its own
   // epoch-table slot, so one thread may drive many sessions (e.g. a network
   // worker owning many connections) as long as it refreshes each of them.
-  // Returns nullptr when the epoch table is full. Restarting a recovered
-  // guid resumes its serial numbering at the recovered commit point.
+  // Returns nullptr when the epoch table is full. Restarting a guid that
+  // stopped in this process resumes at its final serial; restarting a
+  // recovered guid resumes its serial numbering at the recovered commit
+  // point.
   Session* StartSession(uint64_t guid = 0);
+  // Completes the session's pending operations, frees its epoch slot and
+  // keeps its final serial: every later commit reports that serial as the
+  // guid's CPR point, and StartSession(guid) resumes at it.
   void StopSession(Session* session);
   // After Recover(): the CPR point (serial number) the store holds for
   // `guid`; the client replays everything after it.
@@ -370,7 +375,8 @@ class FasterKv {
   void EnterWaitFlush(uint64_t state);
   void FinalizeCheckpoint(uint64_t state);
   bool DoIndexCheckpoint(uint64_t* token_out);
-  std::vector<SessionCommitPoint> CollectCommitPoints();
+  // CPR points of commit `version`: live sessions' and stopped ones'.
+  std::vector<SessionCommitPoint> CollectCommitPoints(uint32_t version);
 
   Status LoadCheckpointMetadata(uint64_t token, CheckpointMetadata* meta);
   Status PersistCheckpointMetadata(const CheckpointMetadata& meta);
@@ -435,7 +441,17 @@ class FasterKv {
   // Sessions.
   std::mutex sessions_mu_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  std::vector<SessionCommitPoint> parted_points_;
+  // Sessions that stopped, by guid. A departed session's CPR point is
+  // fixed (paper §5.2): its final serial, which every later commit reports.
+  // One that stopped while commit `version` was in flight gives that commit
+  // `point` instead, since its operations after the version crossing
+  // belong to the next one. Cleared by recovery.
+  struct StoppedSession {
+    uint64_t serial = 0;
+    uint32_t version = 0;  // 0: stopped at rest
+    uint64_t point = 0;
+  };
+  std::map<uint64_t, StoppedSession> stopped_;
   std::map<uint64_t, uint64_t> recovered_points_;
   std::atomic<uint64_t> next_guid_{1};
 

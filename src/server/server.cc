@@ -309,6 +309,7 @@ Status KvServer::Start() {
   last_adaptive_ns_ = 0;
   serve_start_ns_ = NowNanos();
   first_op_served_.store(false, std::memory_order_relaxed);
+  first_accept_ns_.store(0, std::memory_order_relaxed);
   recovery_installed_.store(!options_.recover_on_start,
                             std::memory_order_release);
   recovery_done_.store(!options_.recover_on_start, std::memory_order_release);
@@ -521,19 +522,13 @@ void KvServer::Stop() {
   // Let background recovery conclude: the backend's shard state must be
   // settled before sessions are drained and before the backend is reusable.
   if (recovery_thread_.joinable()) recovery_thread_.join();
-  // Workers have parked every still-pending session in draining_ /
-  // detached_. Drive them together so cross-session dependencies (a CPR
-  // wait-pending phase needs *all* sessions' pendings to finish) resolve,
-  // then stop each one.
+  // Workers have parked every still-pending session in draining_. Drive
+  // them together so cross-session dependencies (a CPR wait-pending phase
+  // needs *all* sessions' pendings to finish) resolve, then stop each one.
   std::vector<kv::Session*> leftovers;
   {
     std::lock_guard<std::mutex> lock(draining_mu_);
     leftovers.swap(draining_);
-  }
-  {
-    std::lock_guard<std::mutex> lock(detached_mu_);
-    for (auto& [guid, s] : detached_) leftovers.push_back(s);
-    detached_.clear();
   }
   ShutdownDrainSessions(std::move(leftovers));
   for (auto& w : workers_) {
@@ -577,6 +572,9 @@ void KvServer::AcceptLoop() {
         options_.max_connections) {
       ::close(fd);
       continue;
+    }
+    if (first_accept_ns_.load(std::memory_order_relaxed) == 0) {
+      first_accept_ns_.store(NowNanos(), std::memory_order_relaxed);
     }
     SetNonBlocking(fd);
     int one = 1;
@@ -625,7 +623,7 @@ void KvServer::WorkerLoop(Worker& w) {
       if (!c->closed && (ev & kWritable)) FlushOut(w, c);
     }
     DriveConnections(w);
-    TickDetached();
+    TickDraining();
     if (w.id == 0) {
       MaybePeriodicCheckpoint();
       MaybeAdaptiveSwitch();
@@ -1014,34 +1012,21 @@ void KvServer::HandleHello(Connection* c, const net::Request& req) {
     }
     live_guids_.insert(req.guid);
   }
-  kv::Session* session = nullptr;
-  uint64_t resumed = 0;
-  if (req.guid != 0) {
-    // A live (detached) session resumes at its exact serial: nothing was
-    // lost, the client replays nothing.
-    std::lock_guard<std::mutex> lock(detached_mu_);
-    auto it = detached_.find(req.guid);
-    if (it != detached_.end()) {
-      session = it->second;
-      detached_.erase(it);
-      resumed = session->serial();
+  kv::Session* session = kv_->StartSession(req.guid);
+  if (session == nullptr) {  // epoch table full
+    if (req.guid != 0) {
+      std::lock_guard<std::mutex> lock(guids_mu_);
+      live_guids_.erase(req.guid);
     }
+    entry.resp.status = net::WireStatus::kBusy;
+    c->queue.push_back(std::move(entry));
+    return;
   }
-  if (session == nullptr) {
-    session = kv_->StartSession(req.guid);
-    if (session == nullptr) {  // epoch table full
-      if (req.guid != 0) {
-        std::lock_guard<std::mutex> lock(guids_mu_);
-        live_guids_.erase(req.guid);
-      }
-      entry.resp.status = net::WireStatus::kBusy;
-      c->queue.push_back(std::move(entry));
-      return;
-    }
-    // After Recover() this is the recovered commit point; the client
-    // replays everything past it. 0 for a fresh session.
-    resumed = session->last_commit_point();
-  }
+  // A session stopped in this process resumes at its exact final serial,
+  // so the client replays nothing; after Recover() this is the recovered
+  // commit point and the client replays everything past it. 0 for a fresh
+  // session.
+  const uint64_t resumed = session->last_commit_point();
   c->session = session;
   c->guid = session->guid();
   c->ack_mode = req.ack_mode;
@@ -1152,11 +1137,13 @@ void KvServer::HandleDataOp(Connection* c, const net::Request& req,
   }
   if (!first_op_served_.load(std::memory_order_relaxed) &&
       !first_op_served_.exchange(true, std::memory_order_relaxed)) {
-    // Time-to-first-op: how long after the listener came up the first data
-    // operation actually executed. With recover_on_start this is the
-    // availability headline — far below the full recovery duration.
-    counters_.time_to_first_op_ns.store(NowNanos() - serve_start_ns_,
-                                        std::memory_order_relaxed);
+    // Time-to-first-op: how long after the first client connected (never
+    // before the listener came up) the first data operation actually
+    // executed. With recover_on_start this is the availability headline —
+    // far below the full recovery duration.
+    counters_.time_to_first_op_ns.store(
+        NowNanos() - first_accept_ns_.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
   c->queue.push_back(std::move(entry));
 }
@@ -1727,47 +1714,40 @@ void KvServer::DestroyConnection(Worker& w, Connection* c) {
   c->session = nullptr;
   if (session == nullptr) return;
   session->set_async_callback(nullptr);
-  {
-    std::lock_guard<std::mutex> lock(guids_mu_);
-    live_guids_.erase(c->guid);
-  }
-  if (options_.detach_sessions && !stop_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(detached_mu_);
-    detached_[c->guid] = session;
-  } else if (session->pending_count() == 0) {
-    kv_->StopSession(session);
+  if (session->pending_count() == 0) {
+    StopSession(session);
   } else {
     // Cannot block this worker loop waiting for the session's pendings
-    // (they may depend on other sessions this worker owns); park it.
+    // (they may depend on other sessions this worker owns); park it. Its
+    // guid stays taken until it stops.
     std::lock_guard<std::mutex> lock(draining_mu_);
     draining_.push_back(session);
   }
 }
 
-void KvServer::TickDetached() {
-  // Detached and draining sessions still hold epoch slots: keep refreshing
-  // them (and completing their pendings) or checkpoints would stall.
-  if (detached_mu_.try_lock()) {
-    for (auto& [guid, s] : detached_) {
-      kv_->CompletePending(*s);
-      kv_->Refresh(*s);
+void KvServer::StopSession(kv::Session* session) {
+  const uint64_t guid = session->guid();
+  kv_->StopSession(session);
+  std::lock_guard<std::mutex> lock(guids_mu_);
+  live_guids_.erase(guid);
+}
+
+void KvServer::TickDraining() {
+  // Draining sessions still hold epoch slots: keep refreshing them (and
+  // completing their pendings) or checkpoints would stall.
+  if (!draining_mu_.try_lock()) return;
+  for (auto it = draining_.begin(); it != draining_.end();) {
+    kv::Session* s = *it;
+    kv_->CompletePending(*s);
+    kv_->Refresh(*s);
+    if (s->pending_count() == 0) {
+      StopSession(s);
+      it = draining_.erase(it);
+    } else {
+      ++it;
     }
-    detached_mu_.unlock();
   }
-  if (draining_mu_.try_lock()) {
-    for (auto it = draining_.begin(); it != draining_.end();) {
-      kv::Session* s = *it;
-      kv_->CompletePending(*s);
-      kv_->Refresh(*s);
-      if (s->pending_count() == 0) {
-        kv_->StopSession(s);
-        it = draining_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    draining_mu_.unlock();
-  }
+  draining_mu_.unlock();
 }
 
 void KvServer::MaybePeriodicCheckpoint() {
@@ -1782,7 +1762,8 @@ void KvServer::MaybePeriodicCheckpoint() {
     return;
   }
   if (kv_->CheckpointInProgress()) return;
-  if (kv_->Checkpoint(options_.checkpoint_variant, /*include_index=*/false)) {
+  if (kv_->Checkpoint(faster::CommitVariant::kFoldOver,
+                      /*include_index=*/false)) {
     counters_.checkpoints.fetch_add(1, std::memory_order_relaxed);
     last_periodic_ckpt_ns_ = now;
   }

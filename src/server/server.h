@@ -13,6 +13,8 @@
 // regularly, complete your pendings") are honored per worker loop. Workers
 // refresh every session they own on every iteration, which is what lets
 // fully asynchronous checkpoints make progress even when connections idle.
+// Only connected sessions are refreshed: a closed connection's session is
+// stopped.
 //
 // Durability semantics (the CPR story, end to end):
 //   - ack_mode EXECUTED: a response means the operation executed; it is
@@ -23,15 +25,16 @@
 //     Clients should trigger CHECKPOINT (or the server can be configured
 //     with checkpoint_interval_ms) or acknowledgements will not flow.
 //
-// Disconnects (detach_sessions=true, the default) park the session
-// server-side; a reconnecting HELLO with the same guid resumes it at its
-// exact serial, so a live reconnect replays nothing. After a crash and
-// Recover(), HELLO reports the recovered commit point and the client
-// replays everything after it.
+// Disconnects stop the session (after driving its pending operations to
+// completion); the backend keeps its final serial, so a reconnecting HELLO
+// with the same guid resumes at that exact serial and a live reconnect
+// replays nothing. A HELLO for a guid whose session is still draining
+// answers BUSY (the client retries). After a crash and Recover(), HELLO
+// reports the recovered commit point and the client replays everything
+// after it.
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -60,13 +63,9 @@ struct KvServerOptions {
   uint32_t max_connections = 96;
   uint32_t idle_poll_ms = 5;  // poll timeout when no work is pending
   // 0: checkpoints only when a client sends CHECKPOINT. Otherwise the
-  // server starts one every interval (worker 0 drives it).
+  // server starts a fold-over commit without an index checkpoint every
+  // interval (worker 0 drives it).
   uint32_t checkpoint_interval_ms = 0;
-  faster::CommitVariant checkpoint_variant = faster::CommitVariant::kFoldOver;
-  // Keep sessions alive across disconnects so clients can resume at their
-  // exact serial. Sessions are only torn down at Stop() (or immediately at
-  // disconnect when false).
-  bool detach_sessions = true;
   // Instant restart: Start() opens the listener immediately and drives
   // backend recovery on a background thread. HELLO parks until the commit
   // point is pinned (StartRecovery returns — milliseconds, not the full
@@ -170,7 +169,10 @@ class KvServer {
   void FlushOut(Worker& w, Connection* c);
   void DriveConnections(Worker& w);
   void DestroyConnection(Worker& w, Connection* c);
-  void TickDetached();
+  // Stops `session` and frees its guid for the next HELLO.
+  void StopSession(kv::Session* session);
+  // Drives draining sessions and stops each once its pendings completed.
+  void TickDraining();
   void MaybePeriodicCheckpoint();
   void MaybeAdaptiveSwitch();
   bool AnyWorkPending(const Worker& w) const;
@@ -204,17 +206,14 @@ class KvServer {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint32_t> next_worker_{0};
 
-  // Guids currently attached to a live connection (duplicate HELLO -> BUSY).
+  // Guids of started sessions: attached to a live connection or draining
+  // (a HELLO for one answers BUSY).
   std::mutex guids_mu_;
   std::set<uint64_t> live_guids_;
 
-  // Sessions parked by disconnected clients, keyed by guid. Ticked by
-  // whichever worker gets the try_lock so their epochs keep advancing.
-  std::mutex detached_mu_;
-  std::map<uint64_t, kv::Session*> detached_;
-
   // Sessions of closed connections (and of all connections at shutdown)
   // whose pending operations still need to be driven before StopSession.
+  // Driven by whichever worker gets the try_lock.
   std::mutex draining_mu_;
   std::vector<kv::Session*> draining_;
 
@@ -236,6 +235,10 @@ class KvServer {
   std::atomic<uint32_t> parked_ops_{0};
   std::atomic<bool> first_op_served_{false};
   uint64_t serve_start_ns_ = 0;
+  // When the first connection was accepted (0: none yet); time-to-first-op
+  // counts from here, not from before any client arrived. Stored by the
+  // acceptor before it hands that connection to a worker.
+  std::atomic<uint64_t> first_accept_ns_{0};
 
   // Metrics-registry collector exposing ServerCounters (registered in
   // Start(), removed in Stop() — the emitting struct outlives both).

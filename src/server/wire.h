@@ -105,9 +105,12 @@
 // QUERY to observe the flip); backends that cannot switch answer ERROR.
 //
 // HELLO must be the first request on a connection. guid 0 asks for a fresh
-// session; a nonzero guid resumes a live (detached) or recovered session,
-// and `recovered_serial` reports the serial the session resumes at — the
-// client replays every operation after it. With ack_mode DURABLE the server
+// session; a nonzero guid resumes a session that disconnected from this
+// server process (at its final serial) or a recovered one (at its commit
+// point), and `recovered_serial` reports the serial the session resumes at —
+// the client replays every operation after it. BUSY answers a guid that is
+// still attached or still draining its pending operations, or a full
+// session table; the client retries. With ack_mode DURABLE the server
 // withholds responses until a completed checkpoint covers the operation's
 // serial, so an acknowledgement means "committed", not just "executed".
 

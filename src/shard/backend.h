@@ -56,7 +56,7 @@ enum class TxnStatus : uint8_t {
 // One client session: operations carry session-local serial numbers and the
 // backend reports a per-session durable commit point. One session binds to
 // one thread at a time (it may migrate between refreshes, which is how the
-// server parks and resumes detached sessions).
+// server drains a closed connection's pending operations).
 class Session {
  public:
   virtual ~Session() = default;
@@ -64,7 +64,8 @@ class Session {
   virtual uint64_t guid() const = 0;
   // Serial of the most recently issued operation.
   virtual uint64_t serial() const = 0;
-  // Commit point the session resumed at (0 for a fresh session).
+  // Serial the session resumed at: its final serial when it stopped in
+  // this process, its recovered commit point after recovery, 0 when fresh.
   virtual uint64_t last_commit_point() const = 0;
   // Operations parked for asynchronous completion.
   virtual size_t pending_count() const = 0;
@@ -78,9 +79,14 @@ class Backend {
   virtual ~Backend() = default;
 
   // -- Sessions ----------------------------------------------------------
-  // guid 0 draws a fresh id; a recovered guid resumes at its recovered
-  // commit point. Returns nullptr when the backend is out of session slots.
+  // guid 0 draws a fresh id. A guid whose session stopped in this process
+  // resumes at its final serial; a recovered guid resumes at its recovered
+  // commit point (Session::last_commit_point() reports either). Returns
+  // nullptr when the backend is out of session slots.
   virtual Session* StartSession(uint64_t guid) = 0;
+  // Completes the session's pending operations and frees its slot. The
+  // backend keeps the guid's final serial: the durability rounds that follow
+  // cover it, and StartSession(guid) resumes at it.
   virtual void StopSession(Session* session) = 0;
   // Every operation with serial <= the returned value is covered by the
   // backend's durable commit point for `guid` (kNotFound until one exists).

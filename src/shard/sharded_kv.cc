@@ -252,13 +252,20 @@ Session* ShardedKv::StartSession(uint64_t guid) {
     }
   }
   known_guids_.insert(g);
-  auto it = points_.find(g);
-  if (it != points_.end()) {
+  if (auto it = stopped_.find(g); it != stopped_.end()) {
+    // A session stopped in this process resumes at its final serial, so
+    // the client replays nothing. It keeps its skip rule: a client that
+    // left mid-replay still sends replays the shards already hold.
+    session->serial_ = it->second.serial;
+    session->last_commit_point_ = it->second.serial;
+    session->skip_below_ = std::move(it->second.skip_below);
+    stopped_.erase(it);
+  } else if (auto pt = points_.find(g); pt != points_.end()) {
     // Resume at the global commit point: serial numbering continues above
     // it, and each shard deduplicates replays at or below its own point.
-    session->serial_ = it->second.global;
-    session->last_commit_point_ = it->second.global;
-    session->skip_below_ = it->second.per_shard;
+    session->serial_ = pt->second.global;
+    session->last_commit_point_ = pt->second.global;
+    session->skip_below_ = pt->second.per_shard;
   }
   Session* raw = session.get();
   sessions_.push_back(std::move(session));
@@ -268,9 +275,14 @@ Session* ShardedKv::StartSession(uint64_t guid) {
 void ShardedKv::StopSession(Session* session) {
   auto* s = static_cast<ShardSession*>(session);
   for (uint32_t i = 0; i < num_shards_; ++i) {
-    if (s->subs_[i] != nullptr) shards_[i]->StopSession(s->subs_[i]);
+    if (s->subs_[i] == nullptr) continue;
+    // Each shard keeps the global final serial as the guid's point, so the
+    // next manifest's global point for it is exactly that serial.
+    shards_[i]->AdvanceSerial(*s->subs_[i], s->serial_);
+    shards_[i]->StopSession(s->subs_[i]);
   }
   std::lock_guard<std::mutex> lock(sessions_mu_);
+  stopped_[s->guid_] = Stopped{s->serial_, std::move(s->skip_below_)};
   sessions_.erase(std::find_if(sessions_.begin(), sessions_.end(),
                                [&](const auto& p) { return p.get() == s; }));
 }
@@ -697,6 +709,7 @@ void ShardedKv::InstallCandidate(const RecoveryCandidate& candidate,
     std::unique_lock<std::mutex> lock(sessions_mu_, std::defer_lock);
     if (!locked) lock.lock();
     known_guids_.clear();
+    stopped_.clear();
     for (const auto& [guid, p] : candidate.points) known_guids_.insert(guid);
     points_ = candidate.points;
     manifest_tokens_ = candidate.tokens;

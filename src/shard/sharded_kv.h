@@ -245,6 +245,14 @@ class ShardedKv final : public Backend {
   std::vector<std::unique_ptr<ShardSession>> sessions_;
   std::set<uint64_t> known_guids_;
   std::map<uint64_t, SessionPoints> points_;  // by guid, newest manifest
+  // Sessions stopped in this process, by guid: the final global serial a
+  // StartSession(guid) resumes at, and the session's skip rule. Cleared by
+  // recovery.
+  struct Stopped {
+    uint64_t serial = 0;
+    std::vector<uint64_t> skip_below;
+  };
+  std::map<uint64_t, Stopped> stopped_;
   std::vector<uint64_t> manifest_tokens_;     // newest manifest's tokens
   std::atomic<uint64_t> next_guid_{1};
 

@@ -72,9 +72,10 @@ struct ServerCounters {
   std::atomic<uint64_t> ops_parked{0};
   std::atomic<uint64_t> recovering_rejections{0};
   std::atomic<uint64_t> parked_failed_at_shutdown{0};
-  // Wall-clock from listener-up to the first data op answered, and to the
-  // end of background recovery. Their ratio is the instant-restart win:
-  // first op served long before the full store is restored.
+  // Wall-clock from the first accepted connection to the first data op
+  // answered, and from listener-up to the end of background recovery. Their
+  // ratio is the instant-restart win: first op served long before the full
+  // store is restored.
   std::atomic<uint64_t> time_to_first_op_ns{0};
   std::atomic<uint64_t> recovery_duration_ns{0};
   // Observed workload mix — single-key data ops plus TXN read/write-set

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "epoch/epoch.h"
 #include "io/file.h"
@@ -121,23 +122,28 @@ TEST(EpochEdgeTest, DrainListOverflowBackstopRunsEveryAction) {
   EXPECT_EQ(runs.load(), 1000);
 }
 
-TEST(EpochEdgeTest, WaitUntilSafeFromProtectedThreadRefreshesItself) {
+TEST(EpochEdgeTest, WaitUntilSafeReturnsOnceTheSlotHolderRefreshes) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   const uint64_t target = epoch.BumpEpoch();
-  // The only protected thread is us: WaitUntilSafe must make progress by
-  // refreshing our own entry rather than deadlocking.
+  // The protected slot is refreshed by another thread: WaitUntilSafe keeps
+  // recomputing the safe epoch until that refresh makes the target safe.
+  std::thread holder([&] {
+    epoch.RefreshSlot(slot);
+    epoch.ReleaseSlot(slot);
+  });
   epoch.WaitUntilSafe(target - 1);
   EXPECT_GE(epoch.safe_epoch(), target - 1);
-  epoch.Release();
+  holder.join();
 }
 
 TEST(EpochEdgeTest, ManySequentialAcquireReleaseCyclesReuseSlots) {
   EpochFramework epoch(4);  // tiny table: slots must be recycled
   for (int i = 0; i < 100; ++i) {
-    epoch.Acquire();
-    epoch.Refresh();
-    epoch.Release();
+    const int32_t slot = epoch.AcquireSlot();
+    ASSERT_GE(slot, 0);
+    epoch.RefreshSlot(slot);
+    epoch.ReleaseSlot(slot);
   }
   EXPECT_EQ(epoch.ProtectedThreadCount(), 0u);
 }

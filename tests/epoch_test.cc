@@ -11,27 +11,40 @@ namespace {
 
 TEST(EpochTest, AcquireRefreshRelease) {
   EpochFramework epoch;
-  EXPECT_FALSE(epoch.IsProtected());
-  epoch.Acquire();
-  EXPECT_TRUE(epoch.IsProtected());
-  EXPECT_EQ(epoch.ProtectedThreadCount(), 1u);
-  const uint64_t e = epoch.Refresh();
-  EXPECT_EQ(e, epoch.current_epoch());
-  epoch.Release();
-  EXPECT_FALSE(epoch.IsProtected());
   EXPECT_EQ(epoch.ProtectedThreadCount(), 0u);
+  const int32_t slot = epoch.AcquireSlot();
+  ASSERT_GE(slot, 0);
+  EXPECT_EQ(epoch.ProtectedThreadCount(), 1u);
+  const uint64_t e = epoch.RefreshSlot(slot);
+  EXPECT_EQ(e, epoch.current_epoch());
+  epoch.ReleaseSlot(slot);
+  EXPECT_EQ(epoch.ProtectedThreadCount(), 0u);
+}
+
+TEST(EpochTest, FullTableRefusesASlot) {
+  EpochFramework epoch(2);
+  const int32_t a = epoch.AcquireSlot();
+  const int32_t b = epoch.AcquireSlot();
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(epoch.AcquireSlot(), -1);
+  epoch.ReleaseSlot(a);
+  EXPECT_EQ(epoch.AcquireSlot(), a);
+  epoch.ReleaseSlot(a);
+  epoch.ReleaseSlot(b);
 }
 
 TEST(EpochTest, InvariantSafeBelowLocalBelowCurrent) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   for (int i = 0; i < 100; ++i) {
     epoch.BumpEpoch();
-    const uint64_t local = epoch.Refresh();
+    const uint64_t local = epoch.RefreshSlot(slot);
     EXPECT_LT(epoch.safe_epoch(), local);
     EXPECT_LE(local, epoch.current_epoch());
   }
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 
 TEST(EpochTest, BumpIncrementsCurrent) {
@@ -49,17 +62,17 @@ TEST(EpochTest, ActionRunsImmediatelyWithNoThreads) {
   EXPECT_EQ(epoch.PendingActionCount(), 0u);
 }
 
-TEST(EpochTest, ActionWaitsForProtectedThread) {
+TEST(EpochTest, ActionWaitsForProtectedSlot) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   std::atomic<bool> ran{false};
   epoch.BumpEpoch([&] { ran = true; });
-  // Our thread has not refreshed past the bump: the action must not run.
+  // The slot has not refreshed past the bump: the action must not run.
   EXPECT_FALSE(ran.load());
   EXPECT_EQ(epoch.PendingActionCount(), 1u);
-  epoch.Refresh();  // now it becomes safe and drains
+  epoch.RefreshSlot(slot);  // now it becomes safe and drains
   EXPECT_TRUE(ran.load());
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 
 // A slot that read the epoch before looking at its state publishes that
@@ -81,67 +94,67 @@ TEST(EpochTest, RefreshSlotPublishesTheObservedEpoch) {
 
 TEST(EpochTest, ActionRunsExactlyOnce) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   std::atomic<int> runs{0};
   epoch.BumpEpoch([&] { runs.fetch_add(1); });
-  epoch.Refresh();
-  epoch.Refresh();
-  epoch.Refresh();
+  epoch.RefreshSlot(slot);
+  epoch.RefreshSlot(slot);
+  epoch.RefreshSlot(slot);
   EXPECT_EQ(runs.load(), 1);
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 
 TEST(EpochTest, ChainedActionsFireInOrder) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   std::vector<int> order;
   epoch.BumpEpoch([&] {
     order.push_back(1);
     epoch.BumpEpoch([&] { order.push_back(2); });
   });
-  epoch.Refresh();  // fires action 1, which bumps again
-  epoch.Refresh();  // fires action 2
+  epoch.RefreshSlot(slot);  // fires action 1, which bumps again
+  epoch.RefreshSlot(slot);  // fires action 2
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 
 TEST(EpochTest, ReleaseUnblocksPendingAction) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   std::atomic<bool> ran{false};
   epoch.BumpEpoch([&] { ran = true; });
   EXPECT_FALSE(ran.load());
-  epoch.Release();  // the last straggler leaving makes the epoch safe
+  epoch.ReleaseSlot(slot);  // the last straggler leaving makes it safe
   EXPECT_TRUE(ran.load());
 }
 
 TEST(EpochTest, TwoThreadsBothGateTheAction) {
   EpochFramework epoch;
-  epoch.Acquire();
+  const int32_t slot = epoch.AcquireSlot();
   std::atomic<bool> worker_ready{false};
   std::atomic<bool> worker_go{false};
   std::atomic<bool> ran{false};
   std::thread worker([&] {
-    epoch.Acquire();
+    const int32_t own = epoch.AcquireSlot();
     worker_ready = true;
     while (!worker_go.load()) std::this_thread::yield();
-    epoch.Refresh();
-    epoch.Release();
+    epoch.RefreshSlot(own);
+    epoch.ReleaseSlot(own);
   });
   while (!worker_ready.load()) std::this_thread::yield();
 
   epoch.BumpEpoch([&] { ran = true; });
   for (int i = 0; i < 10; ++i) {
-    epoch.Refresh();  // we refresh, but the worker has not
+    epoch.RefreshSlot(slot);  // we refresh, but the worker has not
     EXPECT_FALSE(ran.load());
   }
   worker_go = true;
   worker.join();
-  epoch.Refresh();
+  epoch.RefreshSlot(slot);
   EXPECT_TRUE(ran.load());
-  epoch.Release();
+  epoch.ReleaseSlot(slot);
 }
 
 TEST(EpochTest, WaitUntilSafeFromUnprotectedThread) {
@@ -163,16 +176,16 @@ TEST(EpochTest, ProtectedReadersNeverSeeReclaimedValues) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
-      epoch.Acquire();
+      const int32_t slot = epoch.AcquireSlot();
       while (!stop.load(std::memory_order_relaxed)) {
         int* p = current.load(std::memory_order_acquire);
         // The value behind p must still be alive: it is only deleted once
         // this thread refreshes past its retirement epoch.
         EXPECT_GE(*p, 0);
         reads.fetch_add(1, std::memory_order_relaxed);
-        epoch.Refresh();
+        epoch.RefreshSlot(slot);
       }
-      epoch.Release();
+      epoch.ReleaseSlot(slot);
     });
   }
 
@@ -202,9 +215,9 @@ TEST(EpochTest, ManyConcurrentBumpsAllActionsRun) {
   std::atomic<int> runs{0};
   std::atomic<bool> stop{false};
   std::thread refresher([&] {
-    epoch.Acquire();
-    while (!stop.load()) epoch.Refresh();
-    epoch.Release();
+    const int32_t slot = epoch.AcquireSlot();
+    while (!stop.load()) epoch.RefreshSlot(slot);
+    epoch.ReleaseSlot(slot);
   });
   std::vector<std::thread> bumpers;
   constexpr int kPerThread = 200;

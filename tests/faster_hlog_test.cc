@@ -29,16 +29,17 @@ HybridLog::Config SmallConfig(const std::string& path) {
 
 class HlogTest : public ::testing::Test {
  protected:
-  HlogTest() : io_(2), log_(SmallConfig(FreshPath()), &epoch_, &io_) {
-    epoch_.Acquire();
-  }
-  ~HlogTest() override { epoch_.Release(); }
+  HlogTest()
+      : io_(2),
+        log_(SmallConfig(FreshPath()), &epoch_, &io_),
+        slot_(epoch_.AcquireSlot()) {}
+  ~HlogTest() override { epoch_.ReleaseSlot(slot_); }
 
   // Allocation helper that performs the refresh-and-retry protocol.
   Address Alloc(uint32_t size) {
     Address a;
     while ((a = log_.Allocate(size)) == kInvalidAddress) {
-      epoch_.Refresh();
+      epoch_.RefreshSlot(slot_);
     }
     return a;
   }
@@ -46,6 +47,7 @@ class HlogTest : public ::testing::Test {
   EpochFramework epoch_;
   IoPool io_;
   HybridLog log_;
+  const int32_t slot_;  // this test's (the only) protected participant
 };
 
 TEST_F(HlogTest, AddressesStartAtPageOne) {
@@ -97,8 +99,8 @@ TEST_F(HlogTest, ReadOnlyLagsTailAfterRollovers) {
 
 TEST_F(HlogTest, SafeReadOnlyFollowsAfterRefresh) {
   log_.ShiftReadOnly(log_.tail());
-  // The bump action needs this (the only) thread to refresh.
-  epoch_.Refresh();
+  // The bump action needs the (only) protected slot to refresh.
+  epoch_.RefreshSlot(slot_);
   EXPECT_EQ(log_.safe_read_only(), log_.tail());
 }
 
@@ -106,7 +108,7 @@ TEST_F(HlogTest, ShiftReadOnlyTriggersFlush) {
   const Address a = Alloc(256);
   std::memset(log_.Ptr(a), 0x5A, 256);
   const Address target = log_.ShiftReadOnlyToTail();
-  epoch_.Refresh();  // publishes safe_read_only and issues the flush
+  epoch_.RefreshSlot(slot_);  // publishes safe_read_only and issues the flush
   io_.Drain();
   EXPECT_GE(log_.flushed_until(), target);
   // Bytes must be on disk.
@@ -143,7 +145,7 @@ TEST_F(HlogTest, EvictionFloorBlocksRollover) {
       stalled = true;
       break;
     }
-    epoch_.Refresh();
+    epoch_.RefreshSlot(slot_);
   }
   EXPECT_TRUE(stalled);
   log_.SetEvictionFloor(kMaxAddress);
@@ -151,7 +153,7 @@ TEST_F(HlogTest, EvictionFloorBlocksRollover) {
   Address a;
   while ((a = log_.Allocate(static_cast<uint32_t>(page / 2))) ==
          kInvalidAddress) {
-    epoch_.Refresh();
+    epoch_.RefreshSlot(slot_);
   }
   EXPECT_NE(a, kInvalidAddress);
 }
@@ -160,7 +162,7 @@ TEST_F(HlogTest, ResetForRecoveryRestoresOffsets) {
   const Address a = Alloc(64);
   std::memset(log_.Ptr(a), 0x77, 64);
   const Address end = log_.ShiftReadOnlyToTail();
-  epoch_.Refresh();
+  epoch_.RefreshSlot(slot_);
   io_.Drain();
   ASSERT_TRUE(log_.ResetForRecovery(end).ok());
   EXPECT_EQ(log_.tail(), end);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -521,6 +522,84 @@ TEST(FasterKvTest, OpsOnAParkedKeyWaitBehindIt) {
   ASSERT_TRUE(done[2].found);
   EXPECT_EQ(V(done[2].value.data()), upserted + 10);
   for (Session* x : app.sessions) kv.StopSession(x);
+}
+
+// A stopped session's CPR point is its final serial in every commit after
+// the stop. One that stops during a commit's in-progress phase gives that
+// commit its point at the version crossing; its later ops belong to the
+// next commit. A restart of the guid resumes at the final serial.
+TEST(FasterKvTest, StoppedSessionsReportTheirFinalSerial) {
+  cpr::testing::AbortAfter deadline(std::chrono::seconds(60),
+                                    "a checkpoint never finished");
+  const std::string dir = FreshDir();
+  uint64_t guid_rest = 0;  // stops at rest after 5 RMWs on key 1
+  uint64_t guid_ip = 0;    // 3 RMWs on key 2, 4 more in in-progress, stops
+  {
+    FasterKv kv(SmallOptions(dir));
+    Session* driver = kv.StartSession();
+    std::vector<SessionCommitPoint> first_points;
+    std::atomic<int> commits{0};
+    auto on_commit = [&](uint64_t, const std::vector<SessionCommitPoint>& p) {
+      if (commits.load() == 0) first_points = p;
+      commits.fetch_add(1);
+    };
+
+    Session* a = kv.StartSession();
+    guid_rest = a->guid();
+    for (int i = 0; i < 5; ++i) ASSERT_EQ(kv.Rmw(*a, 1, 1), OpStatus::kOk);
+    kv.StopSession(a);
+
+    Session* b = kv.StartSession();
+    guid_ip = b->guid();
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(kv.Rmw(*b, 2, 1), OpStatus::kOk);
+    const uint32_t v = kv.CurrentVersion();
+    ASSERT_TRUE(kv.Checkpoint(CommitVariant::kFoldOver, true, on_commit));
+    for (int n = 0; b->version() != v + 1; ++n) {
+      ASSERT_LT(n, 1000);
+      kv.Refresh(*driver);
+      kv.Refresh(*b);
+    }
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(kv.Rmw(*b, 2, 1), OpStatus::kOk);
+    ASSERT_NE(kv.CurrentPhase(), Phase::kRest);
+    kv.StopSession(b);
+    while (commits.load() < 1) kv.Refresh(*driver);
+
+    std::map<uint64_t, uint64_t> first;
+    for (const SessionCommitPoint& p : first_points) first[p.guid] = p.serial;
+    EXPECT_EQ(first[guid_rest], 5u);
+    EXPECT_EQ(first[guid_ip], 3u);
+
+    // Every later commit reports the final serials.
+    ASSERT_TRUE(kv.Checkpoint(CommitVariant::kFoldOver, false, on_commit));
+    while (commits.load() < 2) kv.Refresh(*driver);
+    uint64_t point = 0;
+    ASSERT_TRUE(kv.DurableCommitPoint(guid_rest, &point).ok());
+    EXPECT_EQ(point, 5u);
+    ASSERT_TRUE(kv.DurableCommitPoint(guid_ip, &point).ok());
+    EXPECT_EQ(point, 7u);
+
+    // A live restart resumes at the final serial.
+    Session* again = kv.StartSession(guid_ip);
+    EXPECT_EQ(again->serial(), 7u);
+    EXPECT_EQ(again->last_commit_point(), 7u);
+    kv.StopSession(again);
+    kv.StopSession(driver);
+  }
+
+  FasterKv kv(SmallOptions(dir));
+  ASSERT_TRUE(kv.Recover().ok());
+  uint64_t point = 0;
+  ASSERT_TRUE(kv.ContinueSession(guid_rest, &point).ok());
+  EXPECT_EQ(point, 5u);
+  ASSERT_TRUE(kv.ContinueSession(guid_ip, &point).ok());
+  EXPECT_EQ(point, 7u);
+  Session* s = kv.StartSession();
+  int64_t out = 0;
+  ASSERT_EQ(kv.Read(*s, 1, &out), OpStatus::kOk);
+  EXPECT_EQ(out, 5);
+  ASSERT_EQ(kv.Read(*s, 2, &out), OpStatus::kOk);
+  EXPECT_EQ(out, 7);
+  kv.StopSession(s);
 }
 
 TEST(FasterKvTest, SerialNumbersIncreasePerOperation) {

@@ -41,18 +41,18 @@ TEST(HlogStressTest, ConcurrentAllocationsAreDisjoint) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      epoch.Acquire();
+      const int32_t slot = epoch.AcquireSlot();
       for (int i = 0; i < kPerThread; ++i) {
         Address a;
         while ((a = log.Allocate(kSize)) == kInvalidAddress) {
-          epoch.Refresh();
+          epoch.RefreshSlot(slot);
         }
         // Stamp the region; a torn stamp later means overlap.
         std::memset(log.Ptr(a), t + 1, kSize);
         got[t].push_back(a);
-        if (i % 32 == 0) epoch.Refresh();
+        if (i % 32 == 0) epoch.RefreshSlot(slot);
       }
-      epoch.Release();
+      epoch.ReleaseSlot(slot);
     });
   }
   for (auto& th : threads) th.join();

@@ -305,8 +305,9 @@ TEST(ServerE2E, LiveReconnectResumesExactSerial) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(c.Rmw(5, 3).ok());
   EXPECT_EQ(c.replay_backlog(), 10u);  // nothing known durable yet
 
-  // Drop the connection. The server parks the session; HELLO with the same
-  // guid resumes at the exact serial, so nothing is replayed.
+  // Drop the connection. The server stops the session and the store keeps
+  // its final serial; HELLO with the same guid resumes at that exact
+  // serial, so nothing is replayed.
   ASSERT_TRUE(c.Reconnect().ok());
   EXPECT_EQ(c.guid(), guid);
   EXPECT_EQ(c.recovered_serial(), 10u);
@@ -317,6 +318,98 @@ TEST(ServerE2E, LiveReconnectResumesExactSerial) {
   EXPECT_EQ(ReadValue(c, 5, &found), 33);  // 11 RMWs, applied exactly once
   EXPECT_TRUE(found);
 
+  c.Close();
+  server.Stop();
+}
+
+// Regression: a closed connection's session used to stay alive, holding a
+// slot in the store's 256-entry epoch table, so the 257th distinct session
+// was refused BUSY. A stopped session holds no slot.
+TEST(ServerE2E, SessionsBeyondTheEpochTableConnectInTurn) {
+  cpr::testing::AbortAfter deadline(std::chrono::seconds(120),
+                                    "300 sequential sessions");
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
+  KvServer server(&kv, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kSessions = 300;
+  constexpr uint64_t kKeys = 10;
+  for (int i = 0; i < kSessions; ++i) {
+    CprClient::Options o = ClientOptions(server.port());
+    o.connect_attempts = 1;  // a BUSY HELLO fails the test
+    CprClient c(o);
+    ASSERT_TRUE(c.Connect().ok()) << "session " << i;
+    ASSERT_TRUE(c.Rmw(i % kKeys, 1).ok()) << "session " << i;
+    c.Close();
+  }
+
+  CprClient c(ClientOptions(server.port()));
+  ASSERT_TRUE(c.Connect().ok());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    bool found = false;
+    EXPECT_EQ(ReadValue(c, k, &found), kSessions / kKeys) << "key " << k;
+  }
+  c.Close();
+  server.Stop();
+}
+
+// A connection closed with an operation still pending (a slow disk read)
+// drains before its session stops. A HELLO for the guid meanwhile answers
+// BUSY, the client retries, and resumes at the exact serial, the pending
+// read included.
+TEST(ServerE2E, ReconnectWhileDrainingResumesAtTheExactSerial) {
+  cpr::testing::AbortAfter deadline(std::chrono::seconds(60),
+                                    "reconnect while draining");
+  kv::ShardedKv::Options o = ShardedOptions(FreshDir(), 1);
+  o.base.page_bits = 12;
+  o.base.memory_pages = 6;
+  kv::ShardedKv kv(o);
+  constexpr uint64_t kKeys = 4000;
+  {
+    FasterKv& engine = kv.shard(0);
+    faster::Session* s = engine.StartSession();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      const int64_t v = static_cast<int64_t>(k);
+      ASSERT_EQ(engine.Upsert(*s, k, &v), faster::OpStatus::kOk);
+    }
+    // Key 1 is on disk, so the older key 0 is too.
+    int64_t out = 0;
+    ASSERT_EQ(engine.Read(*s, 1, &out), faster::OpStatus::kPending);
+    engine.CompletePending(*s, /*wait_for_all=*/true);
+    engine.StopSession(s);
+  }
+  KvServer server(&kv, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  CprClient c(ClientOptions(server.port()));
+  ASSERT_TRUE(c.Connect().ok());
+  const uint64_t guid = c.guid();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(c.Rmw(kKeys - 1, 1).ok());
+
+  InjectorScope fi;
+  FaultRule slow;
+  slow.any_op = false;
+  slow.op = FaultOp::kRead;
+  slow.path_substr = "hlog";
+  slow.nth = 1;
+  slow.action = FaultAction::kNone;
+  slow.delay_ms = 1000;
+  fi.inj.AddRule(slow);
+  c.EnqueueRead(0);  // on disk: pending for a second
+  ASSERT_TRUE(c.Flush().ok());
+  // The server must execute the read before the close reaches it.
+  while (server.counters().ops_pending == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  ASSERT_TRUE(c.Reconnect().ok());
+  EXPECT_GE(c.stats().connect_retries, 1u);  // answered BUSY while draining
+  EXPECT_EQ(c.guid(), guid);
+  EXPECT_EQ(c.recovered_serial(), 6u);
+  EXPECT_EQ(c.replay_backlog(), 0u);
+  ASSERT_TRUE(c.Rmw(kKeys - 1, 1).ok());
+  bool found = false;
+  EXPECT_EQ(ReadValue(c, kKeys - 1, &found),
+            static_cast<int64_t>(kKeys - 1 + 6));
   c.Close();
   server.Stop();
 }
@@ -706,6 +799,24 @@ TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
   EXPECT_GT(counters.time_to_first_op_ns, 0u);
   EXPECT_GT(counters.recovery_duration_ns, 0u);
 
+  c.Close();
+  server.Stop();
+}
+
+// Time-to-first-op measures restart latency, not client arrival: it counts
+// from the first accepted connection when that comes after the listener.
+TEST(ServerE2E, TimeToFirstOpCountsFromTheFirstConnection) {
+  kv::ShardedKv kv(ShardedOptions(FreshDir(), 1));
+  KvServer server(&kv, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  CprClient c(ClientOptions(server.port()));
+  ASSERT_TRUE(c.Connect().ok());
+  ASSERT_TRUE(c.Rmw(1, 1).ok());
+  const uint64_t ttfo = server.counters().time_to_first_op_ns;
+  EXPECT_GT(ttfo, 0u);
+  EXPECT_LT(ttfo, 300'000'000u);  // the wait before connecting is left out
   c.Close();
   server.Stop();
 }

@@ -320,6 +320,60 @@ TEST(ShardedKvTest, RetainedManifestTokensSurviveFailedRoundChurn) {
   kv.StopSession(s);
 }
 
+// A stopped session resumes at its exact global serial in the same
+// process, and the next round's manifest names that serial as its point.
+TEST(ShardedKvTest, StoppedSessionResumesAtItsExactSerial) {
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = FreshDir();
+    constexpr uint64_t kGuid = 31;
+    constexpr uint64_t kKeys = 10;
+    constexpr uint64_t kOps = 37;
+    {
+      kv::ShardedKv kv(SmallOptions(dir, shards));
+      kv::Session* s = kv.StartSession(kGuid);
+      ASSERT_NE(s, nullptr);
+      // No refresh: most shards' sub-serials lag the global serial.
+      for (uint64_t i = 0; i < kOps; ++i) {
+        ASSERT_EQ(kv.Rmw(*s, 1 + (i % kKeys), 1), faster::OpStatus::kOk);
+      }
+      kv.StopSession(s);
+
+      s = kv.StartSession(kGuid);
+      ASSERT_NE(s, nullptr);
+      EXPECT_EQ(s->serial(), kOps);
+      EXPECT_EQ(s->last_commit_point(), kOps);
+      ASSERT_EQ(kv.Rmw(*s, 1, 1), faster::OpStatus::kOk);
+      EXPECT_EQ(s->serial(), kOps + 1);
+      kv.StopSession(s);
+
+      kv::Session* driver = kv.StartSession(0);
+      ASSERT_TRUE(RunRound(kv, *driver, nullptr).ok());
+      uint64_t point = 0;
+      ASSERT_TRUE(kv.DurableCommitPoint(kGuid, &point).ok());
+      EXPECT_EQ(point, kOps + 1);
+      kv.StopSession(driver);
+    }
+
+    kv::ShardedKv kv(SmallOptions(dir, shards));
+    ASSERT_TRUE(kv.Recover().ok());
+    uint64_t recovered = 0;
+    ASSERT_TRUE(kv.ContinueSession(kGuid, &recovered).ok());
+    EXPECT_EQ(recovered, kOps + 1);
+    kv::Session* s = kv.StartSession(kGuid);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->serial(), kOps + 1);
+    uint64_t total = 0;
+    for (uint64_t k = 1; k <= kKeys; ++k) {
+      bool found = false;
+      total += static_cast<uint64_t>(ReadSync(kv, *s, k, &found));
+      ASSERT_TRUE(found) << "key " << k;
+    }
+    EXPECT_EQ(total, kOps + 1);
+    kv.StopSession(s);
+  }
+}
+
 TEST(ShardedKvTest, RecoveryRestoresNewestManifestAndDedupsReplay) {
   const std::string dir = FreshDir();
   constexpr uint64_t kGuid = 4242;
