@@ -2,17 +2,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
 
-#include "obs/reqtrace.h"
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/scratch_dirs.h"
-#include "util/sharded_histogram.h"
 #include "workloads/tpcc.h"
 
 namespace cpr::bench {
@@ -59,23 +58,8 @@ std::string FreshBenchDir(const std::string& tag) {
 uint64_t PhaseCounterNs(int phase) {
   return obs::MetricsRegistry::Default()
       .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
+                  kCheckpointPhases[phase] + "\"}")
       ->Value();
-}
-
-obs::HistogramMetric* StageHist(uint32_t stage) {
-  return obs::MetricsRegistry::Default().GetHistogram(
-      std::string("cpr_req_stage_ns{stage=\"") + obs::kReqStageNames[stage] +
-      "\"}");
-}
-
-obs::HistogramData HistDelta(const obs::HistogramData& after,
-                             const obs::HistogramData& before) {
-  obs::HistogramData d = after;
-  for (size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] -= before.buckets[i];
-  d.sum -= before.sum;
-  d.count -= before.count;
-  return d;
 }
 
 // -- Transactional database --------------------------------------------------
@@ -100,7 +84,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
-  std::vector<HistogramData> latencies(config.threads);
+  std::vector<obs::HistogramData> latencies(config.threads);
   std::vector<std::thread> workers;
   workers.reserve(config.threads);
   for (uint32_t t = 0; t < config.threads; ++t) {
@@ -111,7 +95,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
       std::vector<char> write_value(
           config.tpcc ? 8 : config.ycsb.value_size, static_cast<char>(t));
       txdb::Transaction txn;
-      HistogramData& lat = latencies[t];
+      obs::HistogramData& lat = latencies[t];
       uint32_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (config.tpcc) {
@@ -184,8 +168,8 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
   result.breakdown.committed_txns -= counters_at_start.committed_txns;
   result.breakdown.aborted_txns -= counters_at_start.aborted_txns;
   result.aborted = result.breakdown.aborted_txns;
-  HistogramData all;
-  for (const HistogramData& h : latencies) all.Merge(h);
+  obs::HistogramData all;
+  for (const obs::HistogramData& h : latencies) all.Merge(h);
   result.mean_latency_us = all.Mean() / 1000.0;
   result.p99_latency_us = static_cast<double>(all.Quantile(0.99)) / 1000.0;
   return result;
@@ -218,8 +202,8 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
   std::vector<uint64_t> ops_done(config.threads * 8, 0);  // padded slots
-  std::vector<HistogramData> lat_rest(config.threads);
-  std::vector<HistogramData> lat_commit(config.threads);
+  std::vector<obs::HistogramData> lat_rest(config.threads);
+  std::vector<obs::HistogramData> lat_commit(config.threads);
   workloads::YcsbConfig ycsb;
   ycsb.num_keys = config.num_keys;
   ycsb.distribution = config.zipf ? workloads::KeyDistribution::kZipfian
@@ -333,15 +317,147 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
 
   result.total_ops = ops_at_end - ops_at_start;
   result.mops = static_cast<double>(result.total_ops) / elapsed / 1e6;
-  HistogramData rest, commit;
-  for (const HistogramData& h : lat_rest) rest.Merge(h);
-  for (const HistogramData& h : lat_commit) commit.Merge(h);
+  obs::HistogramData rest, commit;
+  for (const obs::HistogramData& h : lat_rest) rest.Merge(h);
+  for (const obs::HistogramData& h : lat_commit) commit.Merge(h);
   result.rest_mean_us = rest.Mean() / 1000.0;
   result.rest_p99_us = static_cast<double>(rest.Quantile(0.99)) / 1000.0;
   result.commit_mean_us = commit.Mean() / 1000.0;
   result.commit_p99_us =
       static_cast<double>(commit.Quantile(0.99)) / 1000.0;
   return result;
+}
+
+// -- --stats-json output -------------------------------------------------------
+
+void JsonWriter::Key(const char* key) {
+  if (!empty_scope_) out_ += ',';
+  empty_scope_ = false;
+  out_ += '\n';
+  out_.append(2 * closers_.size(), ' ');
+  if (key == nullptr) return;
+  Quote(key);
+  out_ += ": ";
+}
+
+void JsonWriter::Quote(const std::string& s) {
+  out_ += '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out_ += '\\';
+    out_ += c;
+  }
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::Open(const char* key, char open, char close) {
+  Key(key);
+  out_ += open;
+  closers_ += close;
+  empty_scope_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Raw(const char* key, const std::string& text) {
+  Key(key);
+  out_ += text;
+  return *this;
+}
+
+JsonWriter& JsonWriter::End() {
+  const char close = closers_.back();
+  closers_.pop_back();
+  if (!empty_scope_) {
+    out_ += '\n';
+    out_.append(2 * closers_.size(), ' ');
+  }
+  out_ += close;
+  empty_scope_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Str(const char* key, const std::string& v) {
+  Key(key);
+  Quote(v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::F64(const char* key, double v, int decimals) {
+  if (!std::isfinite(v)) return Raw(key, "null");
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return Raw(key, buf);
+}
+
+JsonWriter& JsonWriter::Hist(const char* key, const obs::HistogramData& h,
+                             bool lag) {
+  BeginObject(key).U64("p50", h.Quantile(0.5)).U64("p99", h.Quantile(0.99));
+  if (lag) return U64("max", h.max).End();
+  return U64("sum", h.sum).U64("count", h.count).End();
+}
+
+bool JsonWriter::WriteFile(const char* path) {
+  while (!closers_.empty()) End();
+  out_ += '\n';
+  std::FILE* f = std::fopen(path, "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(out_.data(), 1, out_.size(), f) == out_.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
+  std::printf("  stats json -> %s\n", path);
+  return true;
+}
+
+ReqBreakdown ReqBreakdown::Sample() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  ReqBreakdown b;
+  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
+    b.stage[i] = registry
+                     .GetHistogram(std::string("cpr_req_stage_ns{stage=\"") +
+                                   obs::kReqStageNames[i] + "\"}")
+                     ->Sample();
+  }
+  b.e2e = registry.GetHistogram("cpr_req_e2e_ns")->Sample();
+  return b;
+}
+
+ReqBreakdown ReqBreakdown::Since(const ReqBreakdown& before) const {
+  auto minus = [](obs::HistogramData d, const obs::HistogramData& b) {
+    for (size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] -= b.buckets[i];
+    d.sum -= b.sum;
+    d.count -= b.count;
+    return d;
+  };
+  ReqBreakdown d;
+  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
+    d.stage[i] = minus(stage[i], before.stage[i]);
+  }
+  d.e2e = minus(e2e, before.e2e);
+  return d;
+}
+
+void ReqBreakdown::Print() const {
+  if (e2e.count == 0) return;
+  std::printf("    stage p50/p99 us:");
+  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
+    std::printf(" %s=%.1f/%.1f", obs::kReqStageNames[i],
+                static_cast<double>(stage[i].Quantile(0.5)) / 1e3,
+                static_cast<double>(stage[i].Quantile(0.99)) / 1e3);
+  }
+  std::printf("  e2e=%.1f/%.1f\n", static_cast<double>(e2e.Quantile(0.5)) / 1e3,
+              static_cast<double>(e2e.Quantile(0.99)) / 1e3);
+}
+
+void ReqBreakdown::WriteJson(JsonWriter& j) const {
+  j.BeginObject("req_stage_ns");
+  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
+    j.Hist(obs::kReqStageNames[i], stage[i]);
+  }
+  j.End().Hist("e2e_ns", e2e);
 }
 
 // -- Output -------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include "faster/faster.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "txdb/db.h"
 #include "util/instrumentation.h"
 #include "workloads/ycsb.h"
@@ -116,16 +117,70 @@ FasterRunResult RunFaster(const FasterRunConfig& config);
 // up across every store and run in the process; sampling them around a run
 // turns them into that run's figures.
 
-// cpr_faster_checkpoint_phase_ns_total for phase `phase`
-// (ServerCounters::kCheckpointPhaseNames order).
+// The `phase` labels of cpr_faster_checkpoint_phase_ns_total, in commit
+// order; also the keys of the benches' "checkpoint_phase_ns" objects.
+inline constexpr const char* kCheckpointPhases[4] = {
+    "prepare", "in_progress", "wait_pending", "wait_flush"};
+
+// cpr_faster_checkpoint_phase_ns_total for kCheckpointPhases[phase].
 uint64_t PhaseCounterNs(int phase);
 
-// cpr_req_stage_ns for request stage `stage` (obs::ReqStage order).
-obs::HistogramMetric* StageHist(uint32_t stage);
+// -- --stats-json output -------------------------------------------------------
+//
+// Builds a bench's --stats-json document. The writer starts inside the
+// top-level object; Begin*/End nest objects and arrays. Every member takes
+// its key, which is nullptr for an element of an array.
+class JsonWriter {
+ public:
+  JsonWriter() : out_("{"), closers_("}") {}
 
-// `after` minus `before`, bucket by bucket.
-obs::HistogramData HistDelta(const obs::HistogramData& after,
-                             const obs::HistogramData& before);
+  JsonWriter& BeginObject(const char* key) { return Open(key, '{', '}'); }
+  JsonWriter& BeginArray(const char* key) { return Open(key, '[', ']'); }
+  JsonWriter& End();  // closes the innermost open object or array
+
+  JsonWriter& Str(const char* key, const std::string& v);
+  JsonWriter& U64(const char* key, uint64_t v) {
+    return Raw(key, std::to_string(v));
+  }
+  JsonWriter& F64(const char* key, double v, int decimals);
+  JsonWriter& Bool(const char* key, bool v) {
+    return Raw(key, v ? "true" : "false");
+  }
+  // {"p50", "p99", "sum", "count"} of `h`; with `lag` set, the durable-lag
+  // form {"p50", "p99", "max"}.
+  JsonWriter& Hist(const char* key, const obs::HistogramData& h,
+                   bool lag = false);
+
+  // Closes every open scope and writes the document to `path`, reporting
+  // the path on stdout (or the failure on stderr).
+  bool WriteFile(const char* path);
+
+ private:
+  void Key(const char* key);  // separator, indent and `"key": `
+  void Quote(const std::string& s);
+  JsonWriter& Open(const char* key, char open, char close);
+  JsonWriter& Raw(const char* key, const std::string& text);
+
+  std::string out_;
+  std::string closers_;  // closing bracket of each open scope
+  bool empty_scope_ = true;
+};
+
+// The registry's request-stage and end-to-end histograms (cpr_req_stage_ns,
+// cpr_req_e2e_ns). They add up over every server in the process; sampling
+// them around a run and taking Since() gives that run's breakdown.
+struct ReqBreakdown {
+  obs::HistogramData stage[obs::kNumReqStages];  // obs::ReqStage order
+  obs::HistogramData e2e;
+
+  static ReqBreakdown Sample();
+  // `*this` minus `before`, bucket by bucket.
+  ReqBreakdown Since(const ReqBreakdown& before) const;
+  // One line of stage and e2e p50/p99; nothing when no op was traced.
+  void Print() const;
+  // The "req_stage_ns" and "e2e_ns" members of a run's JSON object.
+  void WriteJson(JsonWriter& j) const;
+};
 
 // -- Output helpers ----------------------------------------------------------
 

@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "obs/metrics.h"
-#include "util/instrumentation.h"
 
 namespace cpr::bench {
 namespace {
@@ -30,37 +28,21 @@ struct Cell {
 
 void WriteStatsJson(const char* path, uint32_t threads, double seconds,
                     const std::vector<Cell>& cells) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+  JsonWriter j;
+  j.Str("bench", "fig14_latency").U64("threads", threads);
+  j.F64("seconds", seconds, 3).BeginArray("runs");
+  for (const Cell& c : cells) {
+    j.BeginObject(nullptr).Str("label", c.label).F64("mops", c.r.mops, 3);
+    j.U64("total_ops", c.r.total_ops);
+    j.F64("rest_mean_us", c.r.rest_mean_us, 3);
+    j.F64("rest_p99_us", c.r.rest_p99_us, 3);
+    j.F64("commit_mean_us", c.r.commit_mean_us, 3);
+    j.F64("commit_p99_us", c.r.commit_p99_us, 3);
+    j.BeginObject("checkpoint_phase_ns");
+    for (int p = 0; p < 4; ++p) j.U64(kCheckpointPhases[p], c.phase_ns[p]);
+    j.End().End();
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"fig14_latency\",\n  \"threads\": %u,\n"
-               "  \"seconds\": %.3f,\n  \"runs\": [",
-               threads, seconds);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "%s\n    {\n      \"label\": \"%s\",\n      \"mops\": %.3f,\n"
-        "      \"total_ops\": %llu,\n"
-        "      \"rest_mean_us\": %.3f,\n      \"rest_p99_us\": %.3f,\n"
-        "      \"commit_mean_us\": %.3f,\n      \"commit_p99_us\": %.3f,\n"
-        "      \"checkpoint_phase_ns\": {",
-        i == 0 ? "" : ",", c.label.c_str(), c.r.mops,
-        static_cast<unsigned long long>(c.r.total_ops), c.r.rest_mean_us,
-        c.r.rest_p99_us, c.r.commit_mean_us, c.r.commit_p99_us);
-    for (int p = 0; p < 4; ++p) {
-      std::fprintf(f, "%s\"%s\": %llu", p == 0 ? "" : ", ",
-                   ServerCounters::kCheckpointPhaseNames[p],
-                   static_cast<unsigned long long>(c.phase_ns[p]));
-    }
-    std::fprintf(f, "}\n    }");
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("  stats json -> %s\n", path);
+  j.WriteFile(path);
 }
 
 void Run(const char* stats_json) {

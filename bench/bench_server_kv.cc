@@ -40,8 +40,6 @@
 
 #include "bench_common.h"
 #include "client/client.h"
-#include "obs/metrics.h"
-#include "obs/reqtrace.h"
 #include "server/server.h"
 #include "shard/sharded_kv.h"
 
@@ -54,10 +52,9 @@ struct NetRunResult {
   uint64_t max_inflight = 0;  // peak client pipeline depth
   std::vector<uint64_t> shard_ops;
   uint64_t rounds = 0;  // coordinated rounds completed (sharded only)
-  ServerCounters::Snapshot counters;
-  // Per-run critical-path breakdown (registry histogram deltas).
-  obs::HistogramData stage_hist[obs::kNumReqStages];
-  obs::HistogramData e2e_hist;
+  server::ServerCounters::Snapshot counters;
+  uint64_t phase_ns[4] = {0, 0, 0, 0};  // per-run checkpoint phase time
+  ReqBreakdown req;  // this run's critical-path breakdown
 };
 
 NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
@@ -78,12 +75,7 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   so.checkpoint_interval_ms = checkpoint_ms;
   uint64_t phase_base[4];
   for (int i = 0; i < 4; ++i) phase_base[i] = PhaseCounterNs(i);
-  obs::HistogramData stage_base[obs::kNumReqStages];
-  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-    stage_base[i] = StageHist(i)->Sample();
-  }
-  const obs::HistogramData e2e_base =
-      obs::MetricsRegistry::Default().GetHistogram("cpr_req_e2e_ns")->Sample();
+  const ReqBreakdown req_base = ReqBreakdown::Sample();
 
   server::KvServer server(backend.get(), so);
   if (!server.Start().ok()) {
@@ -159,7 +151,7 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   for (uint64_t p : peaks) r.max_inflight = std::max(r.max_inflight, p);
   r.ops_per_sec = static_cast<double>(r.total_ops) / seconds;
   r.counters = server.counters();
-  for (int i = 0; i < 4; ++i) r.counters.checkpoint_phase_ns[i] -= phase_base[i];
+  for (int i = 0; i < 4; ++i) r.phase_ns[i] = PhaseCounterNs(i) - phase_base[i];
   if (shards > 1) {
     for (uint32_t i = 0; i < backend->num_shards(); ++i) {
       r.shard_ops.push_back(backend->ShardOpCount(i));
@@ -169,12 +161,7 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   server.Stop();
   // Sample the stage histograms only after Stop(): every worker has flushed,
   // so the per-stage sums reconcile exactly against the e2e sum.
-  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-    r.stage_hist[i] = HistDelta(StageHist(i)->Sample(), stage_base[i]);
-  }
-  r.e2e_hist = HistDelta(
-      obs::MetricsRegistry::Default().GetHistogram("cpr_req_e2e_ns")->Sample(),
-      e2e_base);
+  r.req = ReqBreakdown::Sample().Since(req_base);
   return r;
 }
 
@@ -219,27 +206,19 @@ void PrintResult(const char* label, const NetRunResult& r, double seconds) {
   if (c.checkpoints > 0) {
     std::printf("    ckpt phases:");
     for (int i = 0; i < 4; ++i) {
-      std::printf(" %s=%.1fms", ServerCounters::kCheckpointPhaseNames[i],
-                  static_cast<double>(c.checkpoint_phase_ns[i]) / 1e6);
+      std::printf(" %s=%.1fms", kCheckpointPhases[i],
+                  static_cast<double>(r.phase_ns[i]) / 1e6);
     }
     std::printf("\n");
   }
-  if (r.e2e_hist.count > 0) {
-    std::printf("    stage p50/p99 us:");
-    for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-      std::printf(" %s=%.1f/%.1f", obs::kReqStageNames[i],
-                  static_cast<double>(r.stage_hist[i].Quantile(0.5)) / 1e3,
-                  static_cast<double>(r.stage_hist[i].Quantile(0.99)) / 1e3);
-    }
-    std::printf("  e2e=%.1f/%.1f\n",
-                static_cast<double>(r.e2e_hist.Quantile(0.5)) / 1e3,
-                static_cast<double>(r.e2e_hist.Quantile(0.99)) / 1e3);
+  r.req.Print();
+  if (r.req.e2e.count > 0) {
     uint64_t stage_sum = 0;
-    for (const auto& h : r.stage_hist) stage_sum += h.sum;
+    for (const auto& h : r.req.stage) stage_sum += h.sum;
     std::printf("    stage sum=%.1fms vs e2e sum=%.1fms over %llu traced ops\n",
                 static_cast<double>(stage_sum) / 1e6,
-                static_cast<double>(r.e2e_hist.sum) / 1e6,
-                static_cast<unsigned long long>(r.e2e_hist.count));
+                static_cast<double>(r.req.e2e.sum) / 1e6,
+                static_cast<unsigned long long>(r.req.e2e.count));
   }
 }
 
@@ -247,70 +226,28 @@ void WriteStatsJson(const char* path, uint32_t shards, uint32_t workers,
                     uint32_t clients, uint32_t pipeline, double seconds,
                     const std::vector<std::pair<std::string, NetRunResult>>&
                         runs) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"server_kv\",\n  \"shards\": %u,\n"
-               "  \"workers\": %u,\n  \"clients\": %u,\n  \"pipeline\": %u,\n"
-               "  \"seconds\": %.3f,\n  \"runs\": [",
-               shards, workers, clients, pipeline, seconds);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const NetRunResult& r = runs[i].second;
+  JsonWriter j;
+  j.Str("bench", "server_kv").U64("shards", shards).U64("workers", workers);
+  j.U64("clients", clients).U64("pipeline", pipeline);
+  j.F64("seconds", seconds, 3).BeginArray("runs");
+  for (const auto& [label, r] : runs) {
     const auto& c = r.counters;
-    std::fprintf(
-        f,
-        "%s\n    {\n      \"label\": \"%s\",\n"
-        "      \"ops_per_sec\": %.1f,\n      \"total_ops\": %llu,\n"
-        "      \"checkpoints\": %llu,\n      \"checkpoint_failures\": %llu,\n"
-        "      \"not_durable_acks\": %llu,\n"
-        "      \"not_durable_engine\": %llu,\n"
-        "      \"not_durable_degraded\": %llu,\n"
-        "      \"shard_rounds\": %llu,\n"
-        "      \"durable_lag_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"max\": %llu},\n"
-        "      \"checkpoint_phase_ns\": {",
-        i == 0 ? "" : ",", runs[i].first.c_str(), r.ops_per_sec,
-        static_cast<unsigned long long>(r.total_ops),
-        static_cast<unsigned long long>(c.checkpoints),
-        static_cast<unsigned long long>(c.checkpoint_failures),
-        static_cast<unsigned long long>(c.not_durable_acks),
-        static_cast<unsigned long long>(c.not_durable_engine),
-        static_cast<unsigned long long>(c.not_durable_degraded),
-        static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
-        static_cast<unsigned long long>(c.durable_lag.max));
-    for (int p = 0; p < 4; ++p) {
-      std::fprintf(f, "%s\"%s\": %llu", p == 0 ? "" : ", ",
-                   ServerCounters::kCheckpointPhaseNames[p],
-                   static_cast<unsigned long long>(c.checkpoint_phase_ns[p]));
-    }
-    std::fprintf(f, "},\n      \"req_stage_ns\": {");
-    for (uint32_t s = 0; s < obs::kNumReqStages; ++s) {
-      const obs::HistogramData& h = r.stage_hist[s];
-      std::fprintf(
-          f, "%s\"%s\": {\"p50\": %llu, \"p99\": %llu, \"sum\": %llu, "
-          "\"count\": %llu}",
-          s == 0 ? "" : ", ", obs::kReqStageNames[s],
-          static_cast<unsigned long long>(h.Quantile(0.5)),
-          static_cast<unsigned long long>(h.Quantile(0.99)),
-          static_cast<unsigned long long>(h.sum),
-          static_cast<unsigned long long>(h.count));
-    }
-    std::fprintf(
-        f, "},\n      \"e2e_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"sum\": %llu, \"count\": %llu}\n    }",
-        static_cast<unsigned long long>(r.e2e_hist.Quantile(0.5)),
-        static_cast<unsigned long long>(r.e2e_hist.Quantile(0.99)),
-        static_cast<unsigned long long>(r.e2e_hist.sum),
-        static_cast<unsigned long long>(r.e2e_hist.count));
+    j.BeginObject(nullptr).Str("label", label);
+    j.F64("ops_per_sec", r.ops_per_sec, 1).U64("total_ops", r.total_ops);
+    j.U64("checkpoints", c.checkpoints);
+    j.U64("checkpoint_failures", c.checkpoint_failures);
+    j.U64("not_durable_acks", c.not_durable_acks);
+    j.U64("not_durable_engine", c.not_durable_engine);
+    j.U64("not_durable_degraded", c.not_durable_degraded);
+    j.U64("shard_rounds", r.rounds);
+    j.Hist("durable_lag_ns", c.durable_lag, /*lag=*/true);
+    j.BeginObject("checkpoint_phase_ns");
+    for (int p = 0; p < 4; ++p) j.U64(kCheckpointPhases[p], r.phase_ns[p]);
+    j.End();
+    r.req.WriteJson(j);
+    j.End();
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("  stats json -> %s\n", path);
+  j.WriteFile(path);
 }
 
 // -- Crash-restart: instant-restart availability ------------------------------
@@ -466,33 +403,17 @@ void RunCrashRestart(uint32_t shards, const char* stats_json) {
               static_cast<unsigned long long>(counters.recovering_rejections));
 
   if (stats_json != nullptr) {
-    std::FILE* f = std::fopen(stats_json, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", stats_json);
-    } else {
-      std::fprintf(
-          f,
-          "{\n  \"bench\": \"server_kv_crash_restart\",\n"
-          "  \"shards\": %u,\n  \"keys\": %llu,\n  \"passes\": %d,\n"
-          "  \"time_to_first_op_ns\": %llu,\n"
-          "  \"time_to_first_op_client_ns\": %llu,\n"
-          "  \"time_to_full_recovery_ns\": %llu,\n"
-          "  \"time_to_full_throughput_ns\": %llu,\n"
-          "  \"steady_window_ops\": %llu,\n"
-          "  \"ops_total\": %llu,\n  \"ops_parked\": %llu,\n"
-          "  \"recovering_rejections\": %llu\n}\n",
-          shards, static_cast<unsigned long long>(keys), passes,
-          static_cast<unsigned long long>(ttfo),
-          static_cast<unsigned long long>(client_first_op_ns),
-          static_cast<unsigned long long>(ttfr),
-          static_cast<unsigned long long>(ttft),
-          static_cast<unsigned long long>(steady),
-          static_cast<unsigned long long>(ops_total),
-          static_cast<unsigned long long>(counters.ops_parked),
-          static_cast<unsigned long long>(counters.recovering_rejections));
-      std::fclose(f);
-      std::printf("  stats json -> %s\n", stats_json);
-    }
+    JsonWriter j;
+    j.Str("bench", "server_kv_crash_restart").U64("shards", shards);
+    j.U64("keys", keys).U64("passes", static_cast<uint64_t>(passes));
+    j.U64("time_to_first_op_ns", ttfo);
+    j.U64("time_to_first_op_client_ns", client_first_op_ns);
+    j.U64("time_to_full_recovery_ns", ttfr);
+    j.U64("time_to_full_throughput_ns", ttft);
+    j.U64("steady_window_ops", steady).U64("ops_total", ops_total);
+    j.U64("ops_parked", counters.ops_parked);
+    j.U64("recovering_rejections", counters.recovering_rejections);
+    j.WriteFile(stats_json);
   }
   server.Stop();
 }

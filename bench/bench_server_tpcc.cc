@@ -103,7 +103,7 @@ struct RunStats {
   uint64_t new_orders_committed = 0;
   uint64_t conflicts = 0;
   uint64_t chunked_txns = 0;
-  ServerCounters::Snapshot counters;
+  server::ServerCounters::Snapshot counters;
 };
 
 bool EnsureDir(const std::string& path) {
@@ -391,47 +391,31 @@ int RunTpcc(const RunConfig& cfg) {
   }
 
   if (!cfg.stats_json.empty()) {
-    std::FILE* f = std::fopen(cfg.stats_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cfg.stats_json.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"server_tpcc\",\n  \"clients\": %u,\n"
-        "  \"pipeline\": %u,\n  \"txns_per_client\": %u,\n"
-        "  \"warehouses\": %u,\n  \"min_order_lines\": %u,\n"
-        "  \"max_order_lines\": %u,\n  \"seed\": %llu,\n"
-        "  \"durable\": %s,\n  \"crash\": %s,\n  \"elapsed_s\": %.3f,\n"
-        "  \"total_txns\": %llu,\n  \"committed_txns\": %llu,\n"
-        "  \"new_orders_issued\": %llu,\n"
-        "  \"new_orders_committed\": %llu,\n"
-        "  \"new_orders_per_sec\": %.1f,\n  \"conflicts\": %llu,\n"
-        "  \"conflict_rate\": %.4f,\n  \"chunked_txns\": %llu,\n"
-        "  \"checkpoints\": %llu,\n  \"checkpoint_failures\": %llu,\n"
-        "  \"durable_lag_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"max\": %llu}\n}\n",
-        cfg.clients, cfg.pipeline, cfg.txns_per_client,
-        cfg.tpcc.num_warehouses, cfg.tpcc.min_order_lines,
-        cfg.tpcc.max_order_lines,
-        static_cast<unsigned long long>(cfg.seed),
-        cfg.durable ? "true" : "false", cfg.crash ? "true" : "false",
-        stats.elapsed_s, static_cast<unsigned long long>(stats.total_txns),
-        static_cast<unsigned long long>(stats.committed),
-        static_cast<unsigned long long>(stats.new_orders_issued),
-        static_cast<unsigned long long>(stats.new_orders_committed),
-        no_per_sec, static_cast<unsigned long long>(stats.conflicts),
-        stats.total_txns > 0 ? static_cast<double>(stats.conflicts) /
-                                   static_cast<double>(stats.total_txns)
-                             : 0.0,
-        static_cast<unsigned long long>(stats.chunked_txns),
-        static_cast<unsigned long long>(sc.checkpoints),
-        static_cast<unsigned long long>(sc.checkpoint_failures),
-        static_cast<unsigned long long>(sc.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(sc.durable_lag.Quantile(0.99)),
-        static_cast<unsigned long long>(sc.durable_lag.max));
-    std::fclose(f);
-    std::printf("  stats json -> %s\n", cfg.stats_json.c_str());
+    JsonWriter j;
+    j.Str("bench", "server_tpcc").U64("clients", cfg.clients);
+    j.U64("pipeline", cfg.pipeline);
+    j.U64("txns_per_client", cfg.txns_per_client);
+    j.U64("warehouses", cfg.tpcc.num_warehouses);
+    j.U64("min_order_lines", cfg.tpcc.min_order_lines);
+    j.U64("max_order_lines", cfg.tpcc.max_order_lines);
+    j.U64("seed", cfg.seed).Bool("durable", cfg.durable);
+    j.Bool("crash", cfg.crash).F64("elapsed_s", stats.elapsed_s, 3);
+    j.U64("total_txns", stats.total_txns);
+    j.U64("committed_txns", stats.committed);
+    j.U64("new_orders_issued", stats.new_orders_issued);
+    j.U64("new_orders_committed", stats.new_orders_committed);
+    j.F64("new_orders_per_sec", no_per_sec, 1);
+    j.U64("conflicts", stats.conflicts);
+    j.F64("conflict_rate",
+          stats.total_txns > 0 ? static_cast<double>(stats.conflicts) /
+                                     static_cast<double>(stats.total_txns)
+                               : 0.0,
+          4);
+    j.U64("chunked_txns", stats.chunked_txns);
+    j.U64("checkpoints", sc.checkpoints);
+    j.U64("checkpoint_failures", sc.checkpoint_failures);
+    j.Hist("durable_lag_ns", sc.durable_lag, /*lag=*/true);
+    if (!j.WriteFile(cfg.stats_json.c_str())) return 1;
   }
   return 0;
 }

@@ -36,8 +36,6 @@
 #include "bench_common.h"
 #include "client/client.h"
 #include "durability/provider.h"
-#include "obs/metrics.h"
-#include "obs/reqtrace.h"
 #include "server/server.h"
 #include "server/wire.h"
 #include "txdb/txdb_backend.h"
@@ -52,10 +50,8 @@ struct TxnRunResult {
   uint64_t total_txns = 0;
   uint64_t conflicts = 0;
   uint64_t max_inflight = 0;
-  ServerCounters::Snapshot counters;
-  // Per-run critical-path breakdown (registry histogram deltas).
-  obs::HistogramData stage_hist[obs::kNumReqStages];
-  obs::HistogramData e2e_hist;
+  server::ServerCounters::Snapshot counters;
+  ReqBreakdown req;  // this run's critical-path breakdown
 };
 
 TxnRunResult RunTxnNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
@@ -77,12 +73,7 @@ TxnRunResult RunTxnNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   so.checkpoint_interval_ms = checkpoint_ms;
   so.max_connections = clients + 4;
 
-  obs::HistogramData stage_base[obs::kNumReqStages];
-  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-    stage_base[i] = StageHist(i)->Sample();
-  }
-  const obs::HistogramData e2e_base =
-      obs::MetricsRegistry::Default().GetHistogram("cpr_req_e2e_ns")->Sample();
+  const ReqBreakdown req_base = ReqBreakdown::Sample();
 
   server::KvServer server(backend.get(), so);
   if (!server.Start().ok()) {
@@ -171,12 +162,7 @@ TxnRunResult RunTxnNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   r.counters = server.counters();
   server.Stop();
   // Sample after Stop(): all workers flushed, stage sums reconcile with e2e.
-  for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-    r.stage_hist[i] = HistDelta(StageHist(i)->Sample(), stage_base[i]);
-  }
-  r.e2e_hist = HistDelta(
-      obs::MetricsRegistry::Default().GetHistogram("cpr_req_e2e_ns")->Sample(),
-      e2e_base);
+  r.req = ReqBreakdown::Sample().Since(req_base);
   return r;
 }
 
@@ -424,17 +410,7 @@ void PrintResult(const char* label, const TxnRunResult& r, uint32_t txn_ops) {
         static_cast<double>(c.durable_lag.max) / 1e6,
         static_cast<unsigned long long>(r.max_inflight));
   }
-  if (r.e2e_hist.count > 0) {
-    std::printf("    stage p50/p99 us:");
-    for (uint32_t i = 0; i < obs::kNumReqStages; ++i) {
-      std::printf(" %s=%.1f/%.1f", obs::kReqStageNames[i],
-                  static_cast<double>(r.stage_hist[i].Quantile(0.5)) / 1e3,
-                  static_cast<double>(r.stage_hist[i].Quantile(0.99)) / 1e3);
-    }
-    std::printf("  e2e=%.1f/%.1f\n",
-                static_cast<double>(r.e2e_hist.Quantile(0.5)) / 1e3,
-                static_cast<double>(r.e2e_hist.Quantile(0.99)) / 1e3);
-  }
+  r.req.Print();
   (void)txn_ops;
 }
 
@@ -444,88 +420,42 @@ void WriteStatsJson(const char* path, uint32_t workers, uint32_t clients,
                     const std::vector<std::pair<std::string, TxnRunResult>>&
                         runs,
                     const AdaptiveResult* adaptive) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"server_txn\",\n  \"workers\": %u,\n"
-               "  \"clients\": %u,\n  \"pipeline\": %u,\n"
-               "  \"txn_ops\": %u,\n  \"rows\": %llu,\n"
-               "  \"seconds\": %.3f,\n  \"runs\": [",
-               workers, clients, pipeline, txn_ops,
-               static_cast<unsigned long long>(rows), seconds);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const TxnRunResult& r = runs[i].second;
+  JsonWriter j;
+  j.Str("bench", "server_txn").U64("workers", workers);
+  j.U64("clients", clients).U64("pipeline", pipeline);
+  j.U64("txn_ops", txn_ops).U64("rows", rows).F64("seconds", seconds, 3);
+  j.BeginArray("runs");
+  for (const auto& [label, r] : runs) {
     const auto& c = r.counters;
-    std::fprintf(
-        f,
-        "%s\n    {\n      \"label\": \"%s\",\n"
-        "      \"txns_per_sec\": %.1f,\n"
-        "      \"record_ops_per_sec\": %.1f,\n"
-        "      \"total_txns\": %llu,\n      \"conflicts\": %llu,\n"
-        "      \"checkpoints\": %llu,\n      \"checkpoint_failures\": %llu,\n"
-        "      \"not_durable_acks\": %llu,\n"
-        "      \"durable_lag_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"max\": %llu},\n      \"req_stage_ns\": {",
-        i == 0 ? "" : ",", runs[i].first.c_str(), r.txns_per_sec,
-        r.record_ops_per_sec, static_cast<unsigned long long>(r.total_txns),
-        static_cast<unsigned long long>(r.conflicts),
-        static_cast<unsigned long long>(c.checkpoints),
-        static_cast<unsigned long long>(c.checkpoint_failures),
-        static_cast<unsigned long long>(c.not_durable_acks),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
-        static_cast<unsigned long long>(c.durable_lag.max));
-    for (uint32_t s = 0; s < obs::kNumReqStages; ++s) {
-      const obs::HistogramData& h = r.stage_hist[s];
-      std::fprintf(
-          f, "%s\"%s\": {\"p50\": %llu, \"p99\": %llu, \"sum\": %llu, "
-          "\"count\": %llu}",
-          s == 0 ? "" : ", ", obs::kReqStageNames[s],
-          static_cast<unsigned long long>(h.Quantile(0.5)),
-          static_cast<unsigned long long>(h.Quantile(0.99)),
-          static_cast<unsigned long long>(h.sum),
-          static_cast<unsigned long long>(h.count));
-    }
-    std::fprintf(
-        f, "},\n      \"e2e_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"sum\": %llu, \"count\": %llu}\n    }",
-        static_cast<unsigned long long>(r.e2e_hist.Quantile(0.5)),
-        static_cast<unsigned long long>(r.e2e_hist.Quantile(0.99)),
-        static_cast<unsigned long long>(r.e2e_hist.sum),
-        static_cast<unsigned long long>(r.e2e_hist.count));
+    j.BeginObject(nullptr).Str("label", label);
+    j.F64("txns_per_sec", r.txns_per_sec, 1);
+    j.F64("record_ops_per_sec", r.record_ops_per_sec, 1);
+    j.U64("total_txns", r.total_txns).U64("conflicts", r.conflicts);
+    j.U64("checkpoints", c.checkpoints);
+    j.U64("checkpoint_failures", c.checkpoint_failures);
+    j.U64("not_durable_acks", c.not_durable_acks);
+    j.Hist("durable_lag_ns", c.durable_lag, /*lag=*/true);
+    r.req.WriteJson(j);
+    j.End();
   }
-  std::fprintf(f, "\n  ]");
+  j.End();
   if (adaptive != nullptr) {
-    std::fprintf(
-        f,
-        ",\n  \"adaptive\": {\n    \"initial_provider\": \"%s\",\n"
-        "    \"final_provider\": \"%s\",\n    \"switches\": %llu,\n"
-        "    \"total_txns\": %llu,\n    \"conflicts\": %llu,\n"
-        "    \"failed_ops\": %llu,\n    \"segments\": [",
-        adaptive->initial_provider.c_str(), adaptive->final_provider.c_str(),
-        static_cast<unsigned long long>(adaptive->switches),
-        static_cast<unsigned long long>(adaptive->total_txns),
-        static_cast<unsigned long long>(adaptive->conflicts),
-        static_cast<unsigned long long>(adaptive->failed_ops));
-    for (size_t i = 0; i < adaptive->segments.size(); ++i) {
-      const AdaptiveSegment& seg = adaptive->segments[i];
-      std::fprintf(f,
-                   "%s\n      {\"provider\": \"%s\", \"seconds\": %.3f, "
-                   "\"txns\": %llu, \"txns_per_sec\": %.1f, "
-                   "\"durable_lag_p99_ns\": %llu}",
-                   i == 0 ? "" : ",", seg.provider.c_str(), seg.seconds,
-                   static_cast<unsigned long long>(seg.txns),
-                   seg.txns_per_sec,
-                   static_cast<unsigned long long>(seg.durable_lag_p99_ns));
+    j.BeginObject("adaptive");
+    j.Str("initial_provider", adaptive->initial_provider);
+    j.Str("final_provider", adaptive->final_provider);
+    j.U64("switches", adaptive->switches);
+    j.U64("total_txns", adaptive->total_txns);
+    j.U64("conflicts", adaptive->conflicts);
+    j.U64("failed_ops", adaptive->failed_ops).BeginArray("segments");
+    for (const AdaptiveSegment& seg : adaptive->segments) {
+      j.BeginObject(nullptr).Str("provider", seg.provider);
+      j.F64("seconds", seg.seconds, 3).U64("txns", seg.txns);
+      j.F64("txns_per_sec", seg.txns_per_sec, 1);
+      j.U64("durable_lag_p99_ns", seg.durable_lag_p99_ns).End();
     }
-    std::fprintf(f, "\n    ]\n  }");
+    j.End().End();
   }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("  stats json -> %s\n", path);
+  j.WriteFile(path);
 }
 
 void Run(const char* stats_json, durability::ProviderKind mode,

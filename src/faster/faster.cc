@@ -248,7 +248,17 @@ Status FasterKv::DurableCommitPoint(uint64_t guid, uint64_t* serial) const {
 
 void FasterKv::ApplyInPlace(PendingOp& op, Record* rec) {
   if (op.kind == OpKind::kUpsert) {
-    std::memcpy(rec->value(), op.value.data(), options_.value_size);
+    // Word by word with relaxed atomic stores: a snapshot flush may be
+    // copying this record concurrently (see EnterWaitFlush). The value area
+    // is padded to whole words; the padding takes zeros.
+    auto* words = reinterpret_cast<uint64_t*>(rec->value());
+    for (uint32_t off = 0; off < options_.value_size; off += 8) {
+      uint64_t w = 0;
+      std::memcpy(&w, op.value.data() + off,
+                  std::min<uint32_t>(8, options_.value_size - off));
+      std::atomic_ref<uint64_t>(words[off / 8])
+          .store(w, std::memory_order_relaxed);
+    }
   } else {  // kRmw: atomic running sum on the first 8 bytes (paper §7.1)
     auto* cell = reinterpret_cast<int64_t*>(rec->value());
     std::atomic_ref<int64_t>(*cell).fetch_add(op.delta,
@@ -849,13 +859,23 @@ void FasterKv::EnterWaitFlush(uint64_t expected_state) {
     io_.Submit([this, from, to, path, sync, trace_id] {
       obs::ScopedSpan span(obs::Tracer::Default(), "faster", "snapshot_flush",
                            trace_id);
+      // (v+1) sessions keep updating records in this range in place
+      // (ApplyInPlace), so copy it word by word with relaxed atomic loads.
+      // Records are whole words, so the range is word-aligned.
+      assert(from % 8 == 0 && to % 8 == 0);
       std::vector<char> buf(to - from);
       const uint64_t page_size = hlog_->page_size();
       Address a = from;
       while (a < to) {
         const Address chunk_end =
             std::min<Address>(to, (a & ~(page_size - 1)) + page_size);
-        std::memcpy(buf.data() + (a - from), hlog_->Ptr(a), chunk_end - a);
+        auto* src = reinterpret_cast<uint64_t*>(hlog_->Ptr(a));
+        char* dst = buf.data() + (a - from);
+        for (uint64_t i = 0; i < (chunk_end - a) / 8; ++i) {
+          const uint64_t w =
+              std::atomic_ref<uint64_t>(src[i]).load(std::memory_order_relaxed);
+          std::memcpy(dst + 8 * i, &w, sizeof(w));
+        }
         a = chunk_end;
       }
       const Status s =

@@ -14,20 +14,15 @@
 //   cat "shard"   broadcast / collect / publish_manifest spans of each
 //                 coordinated cross-shard round; span id = round number.
 //
-// Concurrency: Record() claims a slot with one atomic ticket and takes the
-// slot's spinlock for the ~48-byte write; Snapshot() takes each slot's lock
-// briefly while copying. Writers from different threads never touch the
-// same slot until the ring wraps, so the lock is effectively uncontended.
-// Overhead budget: O(100ns) per span, a handful of spans per checkpoint —
-// invisible next to a millisecond-scale commit.
+// Spans live in an obs::SpanRing (one atomic ticket plus a per-slot
+// spinlock per record). Overhead budget: O(100ns) per span, a handful of
+// spans per checkpoint — invisible next to a millisecond-scale commit.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "util/cacheline.h"
+#include "obs/span_ring.h"
 #include "util/clock.h"
 
 namespace cpr::obs {
@@ -44,8 +39,7 @@ struct TraceSpan {
 class Tracer {
  public:
   // `capacity` is rounded up to a power of two (default 4096 spans ≈ 256KB).
-  explicit Tracer(uint32_t capacity = 4096);
-  ~Tracer();
+  explicit Tracer(uint32_t capacity = 4096) : ring_(capacity) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -63,7 +57,7 @@ class Tracer {
 
   // The retained spans, oldest first (the ring keeps the newest
   // `capacity()` spans; older ones were overwritten).
-  std::vector<TraceSpan> Snapshot() const;
+  std::vector<TraceSpan> Snapshot() const { return ring_.Snapshot(); }
 
   // Chrome trace_event JSON ({"traceEvents":[...]}): complete ("ph":"X")
   // events with microsecond timestamps. Newest spans are preferred when the
@@ -71,27 +65,18 @@ class Tracer {
   std::string ExportChromeTrace(size_t max_bytes = 768 * 1024) const;
 
   // Spans recorded over the tracer's lifetime (>= retained).
-  uint64_t recorded() const { return head_.load(std::memory_order_relaxed); }
+  uint64_t recorded() const { return ring_.recorded(); }
   uint64_t dropped() const {
     const uint64_t r = recorded();
-    return r > capacity_ ? r - capacity_ : 0;
+    return r > capacity() ? r - capacity() : 0;
   }
-  uint32_t capacity() const { return capacity_; }
+  uint32_t capacity() const { return ring_.capacity(); }
 
   // Empties the ring (test isolation); concurrent Record() is safe.
-  void Clear();
+  void Clear() { ring_.Clear(); }
 
  private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic_flag lock = ATOMIC_FLAG_INIT;
-    // 0 = empty, otherwise 1 + ticket of the span occupying the slot.
-    uint64_t ticket = 0;  // guarded by lock
-    TraceSpan span;       // guarded by lock
-  };
-
-  const uint32_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};
+  SpanRing<TraceSpan> ring_;
 };
 
 // Serializes spans (already oldest-first) as Chrome trace JSON without a

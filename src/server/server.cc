@@ -236,22 +236,6 @@ KvServer::KvServer(kv::Backend* backend, KvServerOptions options)
 
 KvServer::~KvServer() { Stop(); }
 
-ServerCounters::Snapshot KvServer::counters() const {
-  ServerCounters::Snapshot s = counters_.Sample();
-  // Same shared handles FasterKv adds into, so this aggregates across
-  // shards; GetCounter is a cold-path name lookup.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  for (int i = 0; i < 4; ++i) {
-    s.checkpoint_phase_ns[i] =
-        registry
-            .GetCounter(std::string(
-                            "cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                        ServerCounters::kCheckpointPhaseNames[i] + "\"}")
-            ->Value();
-  }
-  return s;
-}
-
 Status KvServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server already running");
@@ -327,59 +311,11 @@ Status KvServer::Start() {
     recovery_thread_ = std::thread([this] { RecoveryMain(); });
   }
 
-  // Absorb ServerCounters into the unified registry: the hot paths keep
-  // recording into the relaxed atomics; STATS scrapes pull from here.
+  // Absorb the server counters into the unified registry: the hot paths
+  // keep recording into the relaxed atomics; STATS scrapes pull from here.
   obs_collector_id_ = obs::MetricsRegistry::Default().AddCollector(
       [this](const obs::MetricsRegistry::EmitFn& emit) {
-        const ServerCounters::Snapshot s = counters_.Sample();
-        emit("cpr_server_connections_accepted_total",
-             static_cast<double>(s.connections_accepted));
-        emit("cpr_server_connections_active",
-             static_cast<double>(s.connections_active));
-        emit("cpr_server_requests_total", static_cast<double>(s.requests));
-        emit("cpr_server_responses_total", static_cast<double>(s.responses));
-        emit("cpr_server_bytes_in_total", static_cast<double>(s.bytes_in));
-        emit("cpr_server_bytes_out_total", static_cast<double>(s.bytes_out));
-        emit("cpr_server_ops_pending_total",
-             static_cast<double>(s.ops_pending));
-        emit("cpr_server_durable_held_total",
-             static_cast<double>(s.durable_held));
-        emit("cpr_server_checkpoints_total",
-             static_cast<double>(s.checkpoints));
-        emit("cpr_server_checkpoint_stalls_total",
-             static_cast<double>(s.checkpoint_stalls));
-        emit("cpr_server_checkpoint_failures_total",
-             static_cast<double>(s.checkpoint_failures));
-        emit("cpr_server_not_durable_acks_total",
-             static_cast<double>(s.not_durable_acks));
-        emit("cpr_server_not_durable_acks_engine_total",
-             static_cast<double>(s.not_durable_engine));
-        emit("cpr_server_not_durable_acks_degraded_total",
-             static_cast<double>(s.not_durable_degraded));
-        emit("cpr_server_protocol_errors_total",
-             static_cast<double>(s.protocol_errors));
-        emit("cpr_server_ops_parked_total",
-             static_cast<double>(s.ops_parked));
-        emit("cpr_server_recovering_rejections_total",
-             static_cast<double>(s.recovering_rejections));
-        emit("cpr_server_parked_failed_at_shutdown_total",
-             static_cast<double>(s.parked_failed_at_shutdown));
-        emit("cpr_server_time_to_first_op_ns",
-             static_cast<double>(s.time_to_first_op_ns));
-        emit("cpr_server_recovery_duration_ns",
-             static_cast<double>(s.recovery_duration_ns));
-        emit("cpr_server_read_ops_total", static_cast<double>(s.read_ops));
-        emit("cpr_server_write_ops_total", static_cast<double>(s.write_ops));
-        emit("cpr_server_slow_reader_throttled_total",
-             static_cast<double>(s.slow_reader_throttled));
-        emit("cpr_server_slow_reader_closed_total",
-             static_cast<double>(s.slow_reader_closed));
-        emit("cpr_server_durable_lag_p50_ns",
-             static_cast<double>(s.durable_lag.Quantile(0.5)));
-        emit("cpr_server_durable_lag_p99_ns",
-             static_cast<double>(s.durable_lag.Quantile(0.99)));
-        emit("cpr_server_durable_lag_max_ns",
-             static_cast<double>(s.durable_lag.max));
+        counters_.Emit(emit);
       });
 
   // Per-request critical-path recorder (process-global; stage histograms

@@ -46,9 +46,9 @@
 #include "faster/faster.h"
 #include "obs/reqtrace.h"
 #include "obs/watchdog.h"
+#include "server/counters.h"
 #include "server/wire.h"
 #include "shard/backend.h"
-#include "util/instrumentation.h"
 #include "util/status.h"
 
 namespace cpr::server {
@@ -124,9 +124,9 @@ class KvServer {
 
   uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
-  // Plain-struct snapshot, with checkpoint_phase_ns filled in from the
-  // metrics registry (cumulative engine phase time across all stores).
-  ServerCounters::Snapshot counters() const;
+  // This server's counters (engine checkpoint phase time is in the metrics
+  // registry: cpr_faster_checkpoint_phase_ns_total{phase=...}).
+  ServerCounters::Snapshot counters() const { return counters_.Sample(); }
 
   // Instant restart only: the error with which the backend refused to
   // recover its directory (anything but kNotFound, e.g. a layout it cannot
@@ -240,8 +240,8 @@ class KvServer {
   // acceptor before it hands that connection to a worker.
   std::atomic<uint64_t> first_accept_ns_{0};
 
-  // Metrics-registry collector exposing ServerCounters (registered in
-  // Start(), removed in Stop() — the emitting struct outlives both).
+  // Metrics-registry collector emitting counters_ (registered in Start(),
+  // removed in Stop() — the emitting struct outlives both).
   uint64_t obs_collector_id_ = 0;
 
   // Request-level observability: per-op stage recorder (process-global; the

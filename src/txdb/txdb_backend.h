@@ -39,9 +39,9 @@
 
 #include "durability/provider.h"
 #include "durability/switch.h"
+#include "obs/metrics.h"
 #include "shard/backend.h"
 #include "txdb/db.h"
-#include "util/sharded_histogram.h"
 
 namespace cpr::txdb {
 
@@ -235,7 +235,7 @@ class TxDbBackend final : public kv::Backend, private durability::SwitchHost {
   // Time inside db_.Execute (incl. conflict/CPR-shift retries) per committed
   // or conflicted transaction — the engine sub-stage of the server's
   // "execute" stage (cpr_txdb_txn_execute_ns in the default registry).
-  HistogramMetric* txn_execute_ns_ = nullptr;
+  obs::HistogramMetric* txn_execute_ns_ = nullptr;
 
   // Declared last so it is destroyed first: ~TransactionalDb joins the CPR
   // engine's checkpoint thread, and that thread's commit callback writes

@@ -169,6 +169,7 @@ TEST_P(CheckpointParamTest, CheckpointWithConcurrentTraffic) {
   const std::string dir = FreshDir();
   uint64_t guid = 0;
   uint64_t commit_point = 0;
+  uint64_t commit_point2 = 0;
   std::atomic<bool> got_cb{false};
   {
     FasterKv::Options o = BaseOptions(dir);
@@ -177,14 +178,22 @@ TEST_P(CheckpointParamTest, CheckpointWithConcurrentTraffic) {
     FasterKv kv(o);
     Session* s = kv.StartSession();
     guid = s->guid();
+    // A second session overwrites key 2 in place with each op's serial
+    // while the commit runs, so a snapshot flush copies records that are
+    // being written.
+    Session* s2 = kv.StartSession();
+    int64_t upserts = 1;
+    ASSERT_EQ(kv.Upsert(*s2, 2, &upserts), OpStatus::kOk);
     // Single key incremented once per op: the recovered value must equal
     // the session's reported commit point exactly (CPR Definition 1).
     uint64_t token = 0;
     ASSERT_TRUE(kv.Checkpoint(
         variant(), true,
         [&](uint64_t, const std::vector<SessionCommitPoint>& pts) {
-          ASSERT_EQ(pts.size(), 1u);
-          commit_point = pts[0].serial;
+          ASSERT_EQ(pts.size(), 2u);
+          for (const SessionCommitPoint& pt : pts) {
+            (pt.guid == guid ? commit_point : commit_point2) = pt.serial;
+          }
           got_cb = true;
         },
         &token));
@@ -196,11 +205,17 @@ TEST_P(CheckpointParamTest, CheckpointWithConcurrentTraffic) {
       ASSERT_TRUE(st == OpStatus::kOk || st == OpStatus::kPending);
       ++issued;
       kv.Refresh(*s);
+      ++upserts;
+      const OpStatus st2 = kv.Upsert(*s2, 2, &upserts);
+      ASSERT_TRUE(st2 == OpStatus::kOk || st2 == OpStatus::kPending);
+      kv.Refresh(*s2);
     }
     ASSERT_TRUE(got_cb.load());
     ASSERT_LE(static_cast<int64_t>(commit_point), issued);
     kv.CompletePending(*s, true);
+    kv.CompletePending(*s2, true);
     kv.StopSession(s);
+    kv.StopSession(s2);
   }
   FasterKv::Options o = BaseOptions(dir);
   o.locking = locking();
@@ -213,6 +228,9 @@ TEST_P(CheckpointParamTest, CheckpointWithConcurrentTraffic) {
   } else {
     EXPECT_EQ(ReadOrDie(kv, *s, 1), static_cast<int64_t>(commit_point));
   }
+  // Key 2 holds the serial of the last upsert its session committed.
+  EXPECT_GE(commit_point2, 1u);
+  EXPECT_EQ(ReadOrDie(kv, *s, 2), static_cast<int64_t>(commit_point2));
   kv.StopSession(s);
 }
 

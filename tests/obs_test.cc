@@ -89,6 +89,59 @@ TEST(MetricsTest, HistogramMergeMatchesSingleWriter) {
   EXPECT_EQ(got.Quantile(0.99), expect.Quantile(0.99));
 }
 
+TEST(HistogramTest, MeanAndCount) {
+  HistogramData h;
+  h.Add(100);
+  h.Add(300);
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_DOUBLE_EQ(h.Mean(), 200.0);
+}
+
+TEST(HistogramTest, QuantilesAreOrdered) {
+  HistogramData h;
+  for (uint64_t i = 1; i <= 1000; ++i) h.Add(i);
+  EXPECT_LE(h.Quantile(0.5), h.Quantile(0.99));
+  EXPECT_GE(h.Quantile(0.99), 512u);  // p99 of 1..1000 is ~990
+  EXPECT_EQ(h.Quantile(1.0), 1000u);  // the max sample, not its bucket bound
+}
+
+TEST(HistogramTest, QuantilesNeverExceedTheMax) {
+  HistogramData h;
+  for (int i = 0; i < 10; ++i) h.Add(600);  // bucket bound 1024
+  EXPECT_EQ(h.max, 600u);
+  EXPECT_EQ(h.Quantile(0.5), 600u);
+  EXPECT_EQ(h.Quantile(0.99), 600u);
+  HistogramData zeros;
+  zeros.Add(0);
+  EXPECT_EQ(zeros.Quantile(1.0), 0u);
+}
+
+TEST(HistogramTest, MetricTracksTheMaxAcrossThreads) {
+  HistogramMetric m;
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&m, t] {
+      for (uint64_t i = 0; i < 1000; ++i) m.Record(t * 1000 + i);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const HistogramData d = m.Sample();
+  EXPECT_EQ(d.count, 4000u);
+  EXPECT_EQ(d.max, 3999u);
+  EXPECT_EQ(d.Quantile(1.0), 3999u);
+  EXPECT_LE(d.Quantile(0.99), d.max);
+}
+
+TEST(HistogramTest, MergeAccumulates) {
+  HistogramData a, b;
+  a.Add(10);
+  b.Add(20);
+  a.Merge(b);
+  EXPECT_EQ(a.count, 2u);
+  EXPECT_DOUBLE_EQ(a.Mean(), 15.0);
+  EXPECT_EQ(a.max, 20u);
+}
+
 TEST(MetricsTest, HistogramDataMergeAndQuantile) {
   HistogramData a, b;
   for (uint64_t v : {1u, 2u, 3u, 4u}) a.Add(v);

@@ -125,6 +125,56 @@ TEST(ServerE2E, BasicOpsRoundTrip) {
   EXPECT_GT(counters.bytes_out, 0u);
 }
 
+// Two servers run at once in one process, each over its own one-shard
+// store, with different traffic: each server's counters() reports its own
+// connections and ops only. Admission (connections_active against
+// max_connections), the adaptive policy and the watchdog read these values.
+TEST(ServerE2E, TwoServersInOneProcessKeepTheirOwnCounters) {
+  kv::ShardedKv kv_a(ShardedOptions(FreshDir(), 1));
+  kv::ShardedKv kv_b(ShardedOptions(FreshDir(), 1));
+  KvServer a(&kv_a, ServerOptions());
+  KvServer b(&kv_b, ServerOptions());
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+
+  // Server a: one connection, 5 RMWs. Server b: three connections, each
+  // with 3 reads and 1 upsert.
+  CprClient ca(ClientOptions(a.port()));
+  ASSERT_TRUE(ca.Connect().ok());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ca.Rmw(1, 1).ok());
+  std::vector<std::unique_ptr<CprClient>> cb;
+  for (int n = 0; n < 3; ++n) {
+    cb.push_back(std::make_unique<CprClient>(ClientOptions(b.port())));
+    ASSERT_TRUE(cb.back()->Connect().ok());
+    bool found = false;
+    for (int i = 0; i < 3; ++i) ReadValue(*cb.back(), n, &found);
+    const int64_t v = n;
+    ASSERT_TRUE(cb.back()->Upsert(n, &v).ok());
+  }
+  EXPECT_EQ(a.counters().connections_active, 1u);
+  EXPECT_EQ(b.counters().connections_active, 3u);
+
+  ca.Close();
+  for (auto& c : cb) c->Close();
+  a.Stop();
+  b.Stop();
+  const auto sa = a.counters();
+  const auto sb = b.counters();
+  EXPECT_EQ(sa.connections_accepted, 1u);
+  EXPECT_EQ(sb.connections_accepted, 3u);
+  EXPECT_EQ(sa.read_ops, 0u);
+  EXPECT_EQ(sa.write_ops, 5u);
+  EXPECT_EQ(sb.read_ops, 9u);
+  EXPECT_EQ(sb.write_ops, 3u);
+  EXPECT_EQ(sa.requests, sa.responses);
+  EXPECT_EQ(sb.requests, sb.responses);
+  // Beyond its data ops each connection sends the same fixed requests (its
+  // HELLO), so b's extra requests are three times a's.
+  ASSERT_GE(sa.requests, 5u);
+  ASSERT_GE(sb.requests, 12u);
+  EXPECT_EQ(sb.requests - 12, 3 * (sa.requests - 5));
+}
+
 // Regression: one worker serves a live and an idle connection while the
 // live one appends far past the in-memory log. Every page rollover waits on
 // the idle session's epoch, which only the same worker refreshes; the
@@ -1005,10 +1055,17 @@ TEST(ServerE2E, StatsScrapeCoversAllLayers) {
   // IO pool: the checkpoint flushed through it.
   EXPECT_GE(MetricValue(text, "cpr_io_jobs_total"), 1.0);
 
-  // Satellite: the counters() snapshot surfaces per-phase checkpoint time.
-  const auto counters = server.counters();
+  // The registry's phase counters carry the per-phase checkpoint time.
   uint64_t phase_total = 0;
-  for (int i = 0; i < 4; ++i) phase_total += counters.checkpoint_phase_ns[i];
+  for (const char* phase :
+       {"prepare", "in_progress", "wait_pending", "wait_flush"}) {
+    phase_total +=
+        obs::MetricsRegistry::Default()
+            .GetCounter(std::string(
+                            "cpr_faster_checkpoint_phase_ns_total{phase=\"") +
+                        phase + "\"}")
+            ->Value();
+  }
   EXPECT_GT(phase_total, 0u);
 
   c.Close();
