@@ -1,75 +1,45 @@
 #include "certify/history.h"
 
-#include <cstring>
-
 #include "io/blob.h"
+#include "util/pod.h"
 
 namespace cpr::certify {
 namespace {
 
-template <typename T>
-void AppendPod(std::vector<char>* out, T v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
 void AppendBytes(std::vector<char>* out, const std::vector<char>& bytes) {
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(bytes.size()));
+  PutPod<uint32_t>(out, static_cast<uint32_t>(bytes.size()));
   out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
-// Bounds-checked reader over a blob payload.
-class Reader {
- public:
-  explicit Reader(const std::vector<char>& data) : data_(data) {}
-
-  template <typename T>
-  bool Pod(T* out) {
-    if (data_.size() - pos_ < sizeof(T)) return false;
-    std::memcpy(out, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool Bytes(std::vector<char>* out) {
-    uint32_t len = 0;
-    if (!Pod(&len)) return false;
-    if (data_.size() - pos_ < len) return false;
-    out->assign(data_.begin() + pos_, data_.begin() + pos_ + len);
-    pos_ += len;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::vector<char>& data_;
-  size_t pos_ = 0;
-};
+// Reads the AppendBytes form: u32 length, then the bytes.
+bool ReadBytes(PodReader* r, std::vector<char>* out) {
+  uint32_t len = 0;
+  return r->Pod(&len) && r->Bytes(len, out);
+}
 
 void AppendEventOp(std::vector<char>* out, const EventOp& op) {
-  AppendPod<uint64_t>(out, op.serial);
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(op.op));
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(op.status));
-  AppendPod<uint64_t>(out, op.key);
-  AppendPod<int64_t>(out, op.delta);
+  PutPod<uint64_t>(out, op.serial);
+  PutPod<uint8_t>(out, static_cast<uint8_t>(op.op));
+  PutPod<uint8_t>(out, static_cast<uint8_t>(op.status));
+  PutPod<uint64_t>(out, op.key);
+  PutPod<int64_t>(out, op.delta);
   AppendBytes(out, op.value);
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(op.txn_ops.size()));
+  PutPod<uint32_t>(out, static_cast<uint32_t>(op.txn_ops.size()));
   for (const net::TxnWireOp& top : op.txn_ops) {
-    AppendPod<uint8_t>(out, static_cast<uint8_t>(top.kind));
-    AppendPod<uint32_t>(out, top.table);
-    AppendPod<uint64_t>(out, top.row);
-    AppendPod<int64_t>(out, top.delta);
+    PutPod<uint8_t>(out, static_cast<uint8_t>(top.kind));
+    PutPod<uint32_t>(out, top.table);
+    PutPod<uint64_t>(out, top.row);
+    PutPod<int64_t>(out, top.delta);
     AppendBytes(out, top.value);
   }
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(op.txn_reads.size()));
+  PutPod<uint32_t>(out, static_cast<uint32_t>(op.txn_reads.size()));
   for (const std::vector<char>& read : op.txn_reads) {
     AppendBytes(out, read);
   }
-  AppendPod<uint8_t>(out, op.resolved_by_recovery ? 1 : 0);
+  PutPod<uint8_t>(out, op.resolved_by_recovery ? 1 : 0);
 }
 
-bool ReadEventOp(Reader* r, EventOp* op) {
+bool ReadEventOp(PodReader* r, EventOp* op) {
   uint8_t op_byte = 0;
   uint8_t status_byte = 0;
   if (!r->Pod(&op->serial) || !r->Pod(&op_byte) || !r->Pod(&status_byte) ||
@@ -83,7 +53,7 @@ bool ReadEventOp(Reader* r, EventOp* op) {
   }
   op->op = static_cast<net::Op>(op_byte);
   op->status = static_cast<net::WireStatus>(status_byte);
-  if (!r->Bytes(&op->value)) return false;
+  if (!ReadBytes(r, &op->value)) return false;
   uint32_t n_ops = 0;
   if (!r->Pod(&n_ops)) return false;
   if (n_ops > net::kMaxTxnOpsLogical) return false;
@@ -93,7 +63,7 @@ bool ReadEventOp(Reader* r, EventOp* op) {
     if (!r->Pod(&kind) || kind > net::kMaxTxnOpKind) return false;
     top.kind = static_cast<net::TxnOpKind>(kind);
     if (!r->Pod(&top.table) || !r->Pod(&top.row) || !r->Pod(&top.delta) ||
-        !r->Bytes(&top.value)) {
+        !ReadBytes(r, &top.value)) {
       return false;
     }
   }
@@ -102,7 +72,7 @@ bool ReadEventOp(Reader* r, EventOp* op) {
   if (n_reads > net::kMaxTxnOpsLogical) return false;
   op->txn_reads.resize(n_reads);
   for (std::vector<char>& read : op->txn_reads) {
-    if (!r->Bytes(&read)) return false;
+    if (!ReadBytes(r, &read)) return false;
   }
   uint8_t resolved = 0;
   if (!r->Pod(&resolved) || resolved > 1) return false;
@@ -138,20 +108,20 @@ void HistoryRecorder::OnDurable(uint64_t serial) {
 
 Status HistoryRecorder::WriteFile(const std::string& path) const {
   std::vector<char> payload;
-  AppendPod<uint64_t>(&payload, history_.guid);
-  AppendPod<uint8_t>(&payload, static_cast<uint8_t>(history_.ack_mode));
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(history_.events.size()));
+  PutPod<uint64_t>(&payload, history_.guid);
+  PutPod<uint8_t>(&payload, static_cast<uint8_t>(history_.ack_mode));
+  PutPod<uint32_t>(&payload, static_cast<uint32_t>(history_.events.size()));
   for (const Event& e : history_.events) {
-    AppendPod<uint8_t>(&payload, static_cast<uint8_t>(e.kind));
+    PutPod<uint8_t>(&payload, static_cast<uint8_t>(e.kind));
     switch (e.kind) {
       case Event::Kind::kHello:
-        AppendPod<uint64_t>(&payload, e.recovered_serial);
+        PutPod<uint64_t>(&payload, e.recovered_serial);
         break;
       case Event::Kind::kOp:
         AppendEventOp(&payload, e.op);
         break;
       case Event::Kind::kDurable:
-        AppendPod<uint64_t>(&payload, e.durable_serial);
+        PutPod<uint64_t>(&payload, e.durable_serial);
         break;
     }
   }
@@ -163,7 +133,7 @@ Status ReadHistoryFile(const std::string& path, History* out) {
   std::vector<char> payload;
   Status st = ReadCheckedBlob(path, kHistoryMagic, &payload);
   if (!st.ok()) return st;
-  Reader r(payload);
+  PodReader r(payload);
   uint8_t mode = 0;
   uint32_t n_events = 0;
   if (!r.Pod(&out->guid) || !r.Pod(&mode) || !r.Pod(&n_events) ||
@@ -198,13 +168,13 @@ Status ReadHistoryFile(const std::string& path, History* out) {
 
 Status WriteStateDumpFile(const std::string& path, const StateDump& dump) {
   std::vector<char> payload;
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(dump.tables.size()));
+  PutPod<uint32_t>(&payload, static_cast<uint32_t>(dump.tables.size()));
   for (const StateDump::TableDump& t : dump.tables) {
-    AppendPod<uint32_t>(&payload, t.value_size);
-    AppendPod<uint64_t>(&payload, t.rows_total);
-    AppendPod<uint64_t>(&payload, static_cast<uint64_t>(t.rows.size()));
+    PutPod<uint32_t>(&payload, t.value_size);
+    PutPod<uint64_t>(&payload, t.rows_total);
+    PutPod<uint64_t>(&payload, static_cast<uint64_t>(t.rows.size()));
     for (const net::DumpRow& row : t.rows) {
-      AppendPod<uint64_t>(&payload, row.row);
+      PutPod<uint64_t>(&payload, row.row);
       payload.insert(payload.end(), row.value.begin(), row.value.end());
     }
   }
@@ -216,7 +186,7 @@ Status ReadStateDumpFile(const std::string& path, StateDump* out) {
   std::vector<char> payload;
   Status st = ReadCheckedBlob(path, kStateDumpMagic, &payload);
   if (!st.ok()) return st;
-  Reader r(payload);
+  PodReader r(payload);
   uint32_t n_tables = 0;
   if (!r.Pod(&n_tables)) return Status::Corruption("bad dump header");
   out->tables.resize(n_tables);
@@ -229,9 +199,8 @@ Status ReadStateDumpFile(const std::string& path, StateDump* out) {
     t.rows.resize(n_rows);
     for (net::DumpRow& row : t.rows) {
       if (!r.Pod(&row.row)) return Status::Corruption("truncated dump row");
-      row.value.resize(t.value_size);
-      for (char& c : row.value) {
-        if (!r.Pod(&c)) return Status::Corruption("truncated dump value");
+      if (!r.Bytes(t.value_size, &row.value)) {
+        return Status::Corruption("truncated dump value");
       }
     }
   }

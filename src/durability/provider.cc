@@ -1,12 +1,12 @@
 #include "durability/provider.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <set>
 #include <vector>
 
 #include "io/blob.h"
 #include "io/file.h"
+#include "io/generations.h"
+#include "util/pod.h"
 
 namespace cpr::durability {
 
@@ -14,33 +14,28 @@ namespace {
 
 constexpr uint64_t kProviderMagic = 0x43505250524F5644ull;  // "CPRPROVD"
 
-std::string ManifestPath(const std::string& dir, uint64_t gen) {
-  return dir + "/provider." + std::to_string(gen) + ".meta";
+// provider.<gen>.meta in the durability directory. No LATEST: the directory's
+// LATEST belongs to the txdb checkpoint chain, so recovery order is plain
+// newest-first.
+GenerationChain ManifestChain(const std::string& dir) {
+  return GenerationChain(dir, "provider.", ".meta");
 }
 
 // Payload layout: u64 generation | u8 kind | u64 base_version.
-constexpr size_t kPayloadBytes =
-    sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint64_t);
-
-// Generations present on disk, newest first (unverified).
-std::vector<uint64_t> ListGenerations(const std::string& dir) {
-  std::vector<uint64_t> gens;
-  std::vector<std::string> names;
-  if (!ListDirectory(dir, &names).ok()) return gens;
-  for (const std::string& name : names) {
-    if (name.rfind("provider.", 0) != 0) continue;
-    const size_t dot = name.find('.', 9);
-    if (dot == std::string::npos || name.substr(dot) != ".meta") continue;
-    const std::string digits = name.substr(9, dot - 9);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    gens.push_back(std::strtoull(digits.c_str(), nullptr, 10));
+Status LoadManifest(const GenerationChain& chain, uint64_t gen,
+                    ProviderManifest* manifest) {
+  std::vector<char> payload;
+  Status s = ReadCheckedBlob(chain.Path(gen), kProviderMagic, &payload);
+  if (!s.ok()) return s;
+  PodReader r(payload);
+  uint8_t kind = 0;
+  if (!r.Pod(&manifest->generation) || !r.Pod(&kind) ||
+      !r.Pod(&manifest->base_version) || !r.AtEnd() ||
+      kind > kMaxProviderKind || manifest->generation != gen) {
+    return Status::Corruption("provider manifest invalid: " + chain.Path(gen));
   }
-  std::sort(gens.rbegin(), gens.rend());
-  gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
-  return gens;
+  manifest->kind = static_cast<ProviderKind>(kind);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -74,72 +69,37 @@ Status WriteProviderManifest(const std::string& dir,
                              const ProviderManifest& manifest, bool sync) {
   Status s = CreateDirectories(dir);
   if (!s.ok()) return s;
-  std::vector<char> payload(kPayloadBytes);
-  char* p = payload.data();
-  std::memcpy(p, &manifest.generation, sizeof(uint64_t));
-  p += sizeof(uint64_t);
-  const uint8_t kind = static_cast<uint8_t>(manifest.kind);
-  std::memcpy(p, &kind, sizeof(kind));
-  p += sizeof(kind);
-  std::memcpy(p, &manifest.base_version, sizeof(uint64_t));
-  return WriteCheckedBlob(ManifestPath(dir, manifest.generation),
+  std::vector<char> payload;
+  PutPod(&payload, manifest.generation);
+  PutPod(&payload, static_cast<uint8_t>(manifest.kind));
+  PutPod(&payload, manifest.base_version);
+  return WriteCheckedBlob(ManifestChain(dir).Path(manifest.generation),
                           kProviderMagic, payload, sync);
 }
 
 Status ReadLatestProviderManifest(const std::string& dir,
                                   ProviderManifest* manifest) {
-  const std::vector<uint64_t> gens = ListGenerations(dir);
-  if (gens.empty()) return Status::NotFound("no provider manifest in " + dir);
-  bool saw_corrupt = false;
-  for (const uint64_t gen : gens) {
-    std::vector<char> payload;
-    if (!ReadCheckedBlob(ManifestPath(dir, gen), kProviderMagic, &payload)
-             .ok() ||
-        payload.size() != kPayloadBytes) {
-      saw_corrupt = true;  // torn publish: fall back to the previous gen
-      continue;
-    }
-    const char* p = payload.data();
-    std::memcpy(&manifest->generation, p, sizeof(uint64_t));
-    p += sizeof(uint64_t);
-    uint8_t kind = 0;
-    std::memcpy(&kind, p, sizeof(kind));
-    p += sizeof(kind);
-    std::memcpy(&manifest->base_version, p, sizeof(uint64_t));
-    if (kind > kMaxProviderKind || manifest->generation != gen) {
-      saw_corrupt = true;
-      continue;
-    }
-    manifest->kind = static_cast<ProviderKind>(kind);
-    return Status::Ok();
-  }
-  if (saw_corrupt) {
-    return Status::Corruption("provider manifests exist but none verifies");
-  }
-  return Status::NotFound("no provider manifest in " + dir);
+  // A torn newest generation (crash mid-publish) falls back to the previous
+  // provider.
+  const GenerationChain chain = ManifestChain(dir);
+  return chain.Walk(
+      [&](uint64_t gen) { return LoadManifest(chain, gen, manifest); });
 }
 
 Status RetainProviderManifests(const std::string& dir, uint32_t retain) {
   if (retain == 0) return Status::Ok();
-  const std::vector<uint64_t> gens = ListGenerations(dir);
+  // Only a *verifying* manifest counts toward the retention quota, so a
+  // torn newest generation can never evict the valid one under it.
+  const GenerationChain chain = ManifestChain(dir);
+  std::set<uint64_t> keep;
   uint32_t kept = 0;
-  Status first_error;
-  for (const uint64_t gen : gens) {
-    if (kept < retain) {
-      // Only a *verifying* manifest counts toward the retention quota, so a
-      // torn newest generation can never evict the valid one under it.
-      std::vector<char> payload;
-      if (ReadCheckedBlob(ManifestPath(dir, gen), kProviderMagic, &payload)
-              .ok() &&
-          payload.size() == kPayloadBytes) {
-        ++kept;
-      }
-      continue;
-    }
-    const Status s = RemoveFileIfExists(ManifestPath(dir, gen));
-    if (!s.ok() && first_error.ok()) first_error = s;
+  for (uint64_t gen : chain.List()) {
+    if (kept == retain) break;
+    keep.insert(gen);
+    ProviderManifest m;
+    if (LoadManifest(chain, gen, &m).ok()) ++kept;
   }
-  return first_error;
+  return chain.Prune(keep);
 }
 
 }  // namespace cpr::durability

@@ -9,8 +9,11 @@
 
 #include "io/blob.h"
 #include "io/file.h"
+#include "io/generations.h"
+#include "io/retry.h"
 #include "util/clock.h"
 #include "util/hash.h"
+#include "util/pod.h"
 
 namespace cpr::faster {
 
@@ -28,64 +31,17 @@ constexpr uint64_t kMetaMagic = 0x465354524D455441ull;  // "FSTRMETA"
 constexpr uint64_t kSnapMagic = 0x46535452534E4150ull;  // "FSTRSNAP"
 constexpr uint64_t kIndexMagic = 0x46535452494E4458ull; // "FSTRINDX"
 
-std::string MetaPath(const std::string& dir, uint64_t token) {
-  return dir + "/ckpt." + std::to_string(token) + ".meta";
+// The three generation chains of a store directory. Only the meta chain
+// publishes LATEST; snapshots and index images are found through a meta.
+GenerationChain MetaChain(const std::string& dir) {
+  return GenerationChain(dir, "ckpt.", ".meta", LatestForm::kNumber);
 }
-std::string SnapshotPath(const std::string& dir, uint64_t token) {
-  return dir + "/ckpt." + std::to_string(token) + ".snap";
+GenerationChain SnapshotChain(const std::string& dir) {
+  return GenerationChain(dir, "ckpt.", ".snap");
 }
-std::string IndexPath(const std::string& dir, uint64_t token) {
-  return dir + "/index." + std::to_string(token) + ".dat";
+GenerationChain IndexChain(const std::string& dir) {
+  return GenerationChain(dir, "index.", ".dat");
 }
-
-// Parses "<prefix><digits><suffix>" into the token value.
-bool ParseTokenFile(const std::string& name, const std::string& prefix,
-                    const std::string& suffix, uint64_t* token) {
-  if (name.size() <= prefix.size() + suffix.size()) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + (name[i] - '0');
-  }
-  *token = value;
-  return value != 0;
-}
-
-// Tokens of every on-disk checkpoint meta file, descending (newest first —
-// tokens come from a monotonic clock).
-std::vector<uint64_t> ListCheckpointTokens(const std::string& dir) {
-  std::vector<uint64_t> tokens;
-  std::vector<std::string> names;
-  if (!ListDirectory(dir, &names).ok()) return tokens;
-  for (const std::string& name : names) {
-    uint64_t t = 0;
-    if (ParseTokenFile(name, "ckpt.", ".meta", &t)) tokens.push_back(t);
-  }
-  std::sort(tokens.begin(), tokens.end(), std::greater<uint64_t>());
-  return tokens;
-}
-
-template <typename T>
-void AppendPod(std::vector<char>& buf, const T& v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-bool ConsumePod(const std::vector<char>& buf, size_t* off, T* out) {
-  if (*off + sizeof(T) > buf.size()) return false;
-  std::memcpy(out, buf.data() + *off, sizeof(T));
-  *off += sizeof(T);
-  return true;
-}
-
-}  // namespace
-
-namespace {
 
 obs::Counter* PhaseNs(const char* phase) {
   return obs::MetricsRegistry::Default().GetCounter(
@@ -96,7 +52,7 @@ obs::Counter* PhaseNs(const char* phase) {
 }  // namespace
 
 bool FasterKv::HoldsCheckpoint(const std::string& dir) {
-  return !ListCheckpointTokens(dir).empty();
+  return !MetaChain(dir).List().empty();
 }
 
 FasterKv::FasterKv(Options options)
@@ -114,6 +70,14 @@ FasterKv::FasterKv(Options options)
       ckpt_failures_total_(obs::MetricsRegistry::Default().GetCounter(
           "cpr_faster_checkpoint_failures_total")) {
   CreateDirectories(options_.dir);
+  uint64_t newest = 0;
+  for (const GenerationChain& chain :
+       {MetaChain(options_.dir), SnapshotChain(options_.dir),
+        IndexChain(options_.dir)}) {
+    const std::vector<uint64_t> tokens = chain.List();
+    if (!tokens.empty()) newest = std::max(newest, tokens.front());
+  }
+  next_token_.store(newest + 1, std::memory_order_relaxed);
   index_ = std::make_unique<HashIndex>(options_.index_buckets);
   bucket_latches_.reset(new SharedLatch[index_->num_buckets()]);
   HybridLog::Config cfg;
@@ -853,7 +817,7 @@ void FasterKv::EnterWaitFlush(uint64_t expected_state) {
     snapshot_done_.store(false, std::memory_order_release);
     const Address from = ckpt_.snapshot_start;
     const Address to = ckpt_.lhe;
-    const std::string path = SnapshotPath(options_.dir, ckpt_.token);
+    const std::string path = SnapshotChain(options_.dir).Path(ckpt_.token);
     const bool sync = options_.sync_to_disk;
     const uint64_t trace_id = ckpt_.token;
     io_.Submit([this, from, to, path, sync, trace_id] {
@@ -878,8 +842,10 @@ void FasterKv::EnterWaitFlush(uint64_t expected_state) {
         }
         a = chunk_end;
       }
-      const Status s =
-          RetryIo([&] { return WriteCheckedBlob(path, kSnapMagic, buf, sync); });
+      const Status s = RetryWithBackoff(
+          options_.checkpoint_retry_attempts,
+          options_.checkpoint_retry_backoff_ms,
+          [&] { return WriteCheckedBlob(path, kSnapMagic, buf, sync); });
       if (!s.ok()) snapshot_failed_.store(true, std::memory_order_release);
       hlog_->SetEvictionFloor(kMaxAddress);
       // Done even on failure: the state machine must reach FinalizeCheckpoint
@@ -927,7 +893,9 @@ void FasterKv::FinalizeCheckpoint(uint64_t expected_state) {
     } else if (index_failed_.load(std::memory_order_acquire)) {
       s = Status::IoError("index checkpoint write failed");
     } else {
-      s = RetryIo([&] { return PersistCheckpointMetadata(ckpt_); });
+      s = RetryWithBackoff(options_.checkpoint_retry_attempts,
+                           options_.checkpoint_retry_backoff_ms,
+                           [&] { return PersistCheckpointMetadata(ckpt_); });
     }
     success = s.ok();
     token = ckpt_.token;
@@ -975,14 +943,14 @@ bool FasterKv::Checkpoint(CommitVariant variant, bool include_index,
       return false;
     }
     ckpt_ = CheckpointMetadata();
-    ckpt_.token = NowNanos();
+    ckpt_.token = next_token_.fetch_add(1, std::memory_order_relaxed);
     ckpt_.version = v;
     ckpt_.variant = variant;
     ckpt_.lhs = hlog_->tail();
     ckpt_.begin = hlog_->begin_address();
     ckpt_callback_ = std::move(callback);
     trace_token_.store(ckpt_.token, std::memory_order_relaxed);
-    phase_start_ns_.store(ckpt_.token, std::memory_order_relaxed);
+    phase_start_ns_.store(NowNanos(), std::memory_order_relaxed);
     ckpts_started_total_->Add(1);
     snapshot_done_.store(false, std::memory_order_release);
     snapshot_failed_.store(false, std::memory_order_release);
@@ -1030,8 +998,8 @@ bool FasterKv::DoIndexCheckpoint(uint64_t* token_out) {
   const uint64_t num_overflow = index_->overflow_in_use();
   index_->FuzzyCopy(image.get());
   const Address li = hlog_->tail();
-  const uint64_t token = NowNanos();
-  const std::string path = IndexPath(options_.dir, token);
+  const uint64_t token = next_token_.fetch_add(1, std::memory_order_relaxed);
+  const std::string path = IndexChain(options_.dir).Path(token);
   const uint64_t num_buckets = index_->num_buckets();
   const bool sync = options_.sync_to_disk;
   io_.Submit([this, image, li, token, path, num_buckets, num_overflow, sync] {
@@ -1039,11 +1007,13 @@ bool FasterKv::DoIndexCheckpoint(uint64_t* token_out) {
                          token);
     std::vector<char> payload;
     payload.reserve(sizeof(Address) + 2 * sizeof(uint64_t) + image->size());
-    AppendPod(payload, li);
-    AppendPod(payload, num_buckets);
-    AppendPod(payload, num_overflow);
+    PutPod(&payload, li);
+    PutPod(&payload, num_buckets);
+    PutPod(&payload, num_overflow);
     payload.insert(payload.end(), image->begin(), image->end());
-    const Status s = RetryIo(
+    const Status s = RetryWithBackoff(
+        options_.checkpoint_retry_attempts,
+        options_.checkpoint_retry_backoff_ms,
         [&] { return WriteCheckedBlob(path, kIndexMagic, payload, sync); });
     // Two index writes can be in flight (a standalone CheckpointIndex and
     // the commit that followed it) and finish out of order: both tokens only
@@ -1079,7 +1049,7 @@ bool FasterKv::CheckpointIndex(uint64_t* token_out) {
 }
 
 Status FasterKv::WaitForCheckpoint(uint64_t token) {
-  // Tokens are monotonic (issued from a monotonic clock); a later commit
+  // Tokens only grow (one counter seeded above the disk); a later commit
   // completing first must not strand the waiter. Waiting on the *finished*
   // token means a failed checkpoint returns an error instead of hanging.
   while (last_finished_token_.load(std::memory_order_acquire) < token) {
@@ -1109,70 +1079,49 @@ Phase FasterKv::CurrentPhase() const {
 
 // -- Checkpoint metadata I/O -------------------------------------------------
 
-Status FasterKv::RetryIo(const std::function<Status()>& attempt) {
-  const uint32_t attempts =
-      std::max<uint32_t>(1, options_.checkpoint_retry_attempts);
-  uint64_t delay = options_.checkpoint_retry_backoff_ms;
-  Status s;
-  for (uint32_t i = 0; i < attempts; ++i) {
-    if (i > 0 && delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      delay = std::min<uint64_t>(delay * 2, 1000);
-    }
-    s = attempt();
-    if (s.ok()) return s;
-  }
-  return s;
-}
-
 Status FasterKv::PersistCheckpointMetadata(const CheckpointMetadata& meta) {
   std::vector<char> buf;
-  AppendPod(buf, meta.token);
-  AppendPod(buf, meta.version);
-  AppendPod(buf, static_cast<uint8_t>(meta.variant));
-  AppendPod(buf, meta.lhs);
-  AppendPod(buf, meta.lhe);
-  AppendPod(buf, meta.flushed);
-  AppendPod(buf, meta.snapshot_start);
-  AppendPod(buf, meta.begin);
-  AppendPod(buf, meta.index_token);
-  AppendPod(buf, static_cast<uint64_t>(meta.points.size()));
+  PutPod(&buf, meta.token);
+  PutPod(&buf, meta.version);
+  PutPod(&buf, static_cast<uint8_t>(meta.variant));
+  PutPod(&buf, meta.lhs);
+  PutPod(&buf, meta.lhe);
+  PutPod(&buf, meta.flushed);
+  PutPod(&buf, meta.snapshot_start);
+  PutPod(&buf, meta.begin);
+  PutPod(&buf, meta.index_token);
+  PutPod(&buf, static_cast<uint64_t>(meta.points.size()));
   for (const SessionCommitPoint& p : meta.points) {
-    AppendPod(buf, p.guid);
-    AppendPod(buf, p.serial);
+    PutPod(&buf, p.guid);
+    PutPod(&buf, p.serial);
   }
-  Status s = WriteCheckedBlob(MetaPath(options_.dir, meta.token), kMetaMagic,
-                              buf, options_.sync_to_disk);
+  const GenerationChain chain = MetaChain(options_.dir);
+  Status s = WriteCheckedBlob(chain.Path(meta.token), kMetaMagic, buf,
+                              options_.sync_to_disk);
   if (!s.ok()) return s;
-  // Shared durable-publication helper: tmp + sync + rename + parent fsync.
-  return PublishLatest(options_.dir, std::to_string(meta.token),
-                       options_.sync_to_disk);
+  return chain.Publish(meta.token, options_.sync_to_disk);
 }
 
 Status FasterKv::LoadCheckpointMetadata(uint64_t token,
                                         CheckpointMetadata* meta) {
   std::vector<char> buf;
-  Status s = ReadCheckedBlob(MetaPath(options_.dir, token), kMetaMagic, &buf);
+  Status s = ReadCheckedBlob(MetaChain(options_.dir).Path(token), kMetaMagic,
+                             &buf);
   if (!s.ok()) return s;
-  size_t off = 0;
+  PodReader r(buf);
   uint8_t variant = 0;
   uint64_t num_points = 0;
-  if (!ConsumePod(buf, &off, &meta->token) ||
-      !ConsumePod(buf, &off, &meta->version) ||
-      !ConsumePod(buf, &off, &variant) || !ConsumePod(buf, &off, &meta->lhs) ||
-      !ConsumePod(buf, &off, &meta->lhe) ||
-      !ConsumePod(buf, &off, &meta->flushed) ||
-      !ConsumePod(buf, &off, &meta->snapshot_start) ||
-      !ConsumePod(buf, &off, &meta->begin) ||
-      !ConsumePod(buf, &off, &meta->index_token) ||
-      !ConsumePod(buf, &off, &num_points)) {
+  if (!r.Pod(&meta->token) || !r.Pod(&meta->version) || !r.Pod(&variant) ||
+      !r.Pod(&meta->lhs) || !r.Pod(&meta->lhe) || !r.Pod(&meta->flushed) ||
+      !r.Pod(&meta->snapshot_start) || !r.Pod(&meta->begin) ||
+      !r.Pod(&meta->index_token) || !r.Pod(&num_points)) {
     return Status::Corruption("truncated checkpoint metadata");
   }
   meta->variant = static_cast<CommitVariant>(variant);
   meta->points.clear();
   for (uint64_t i = 0; i < num_points; ++i) {
     SessionCommitPoint p;
-    if (!ConsumePod(buf, &off, &p.guid) || !ConsumePod(buf, &off, &p.serial)) {
+    if (!r.Pod(&p.guid) || !r.Pod(&p.serial)) {
       return Status::Corruption("truncated commit points");
     }
     meta->points.push_back(p);
@@ -1191,46 +1140,31 @@ void FasterKv::PinCheckpointTokens(std::set<uint64_t> tokens) {
 void FasterKv::GarbageCollectCheckpoints() {
   const uint32_t retain = options_.retain_checkpoints;
   if (retain == 0) return;
-  const std::vector<uint64_t> tokens = ListCheckpointTokens(options_.dir);
+  const GenerationChain metas = MetaChain(options_.dir);
+  const std::vector<uint64_t> tokens = metas.List();
   if (tokens.size() <= retain) return;
 
-  // Index images referenced by a retained generation must survive even if
-  // they were taken for an older commit (log-only commits reuse them).
   std::set<uint64_t> keep_ckpt(tokens.begin(), tokens.begin() + retain);
+  std::set<uint64_t> keep_index;
   {
     // Externally pinned generations (retained cross-shard manifests) are
-    // kept no matter how far the retain window has moved past them.
+    // kept no matter how far the retain window has moved past them, and
+    // the image the next log-only commit would reuse stays too.
     std::lock_guard<std::mutex> lock(ckpt_mu_);
     keep_ckpt.insert(pinned_tokens_.begin(), pinned_tokens_.end());
+    if (last_index_token_ != 0) keep_index.insert(last_index_token_);
   }
-  std::set<uint64_t> keep_index;
+  // Index images referenced by a retained generation must survive even if
+  // they were taken for an older commit (log-only commits reuse them).
   for (uint64_t t : keep_ckpt) {
     CheckpointMetadata meta;
     if (LoadCheckpointMetadata(t, &meta).ok()) {
       keep_index.insert(meta.index_token);
     }
   }
-  {
-    // The image the next log-only commit would reuse stays too.
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (last_index_token_ != 0) keep_index.insert(last_index_token_);
-  }
-
-  std::vector<std::string> names;
-  if (!ListDirectory(options_.dir, &names).ok()) return;
-  for (const std::string& name : names) {
-    uint64_t t = 0;
-    if (ParseTokenFile(name, "ckpt.", ".meta", &t) ||
-        ParseTokenFile(name, "ckpt.", ".snap", &t)) {
-      if (keep_ckpt.count(t) == 0) {
-        RemoveFileIfExists(options_.dir + "/" + name);
-      }
-    } else if (ParseTokenFile(name, "index.", ".dat", &t)) {
-      if (keep_index.count(t) == 0) {
-        RemoveFileIfExists(options_.dir + "/" + name);
-      }
-    }
-  }
+  metas.Prune(keep_ckpt);
+  SnapshotChain(options_.dir).Prune(keep_ckpt);
+  IndexChain(options_.dir).Prune(keep_index);
 }
 
 Status FasterKv::TruncateLogUntil(Address until) {
@@ -1334,71 +1268,16 @@ Status FasterKv::CompactLog(Session& session, Address until,
   return TruncateLogUntil(until);
 }
 
-void FasterKv::DebugDumpPending(Session& session) const {
-  for (const PendingOp& op : session.pending_) {
-    const uint64_t hash = Hash64(op.key);
-    std::atomic<uint64_t>* entry = index_->FindEntry(hash);
-    uint64_t word = entry != nullptr ? entry->load() : 0;
-    Address addr = EntryWord::AddressOf(word);
-    uint32_t head_ver = 9999;
-    uint64_t head_key = 0;
-    bool head_invalid = false;
-    if (addr >= hlog_->head()) {
-      const Record* r =
-          reinterpret_cast<const Record*>(
-              const_cast<HybridLog*>(hlog_.get())->Ptr(addr));
-      head_ver = r->info.version();
-      head_key = r->key;
-      head_invalid = r->info.invalid();
-    }
-    std::fprintf(
-        stderr,
-        "  op kind=%d key=%llu ver=%u serial=%llu latch=%d counted=%d "
-        "io(iss=%d done=%d addr=%llu) chainhead addr=%llu key=%llu ver=%u "
-        "inv=%d shared=%llu\n",
-        (int)op.kind, (unsigned long long)op.key, op.version,
-        (unsigned long long)op.serial, (int)op.holds_latch, (int)op.counted,
-        (int)op.io_issued, (int)op.io_done.load(),
-        (unsigned long long)op.io_address, (unsigned long long)addr,
-        (unsigned long long)head_key, head_ver, (int)head_invalid,
-        (unsigned long long)bucket_latches_[op.bucket].SharedCount());
-  }
-}
-
 // -- Recovery (Alg. 3) -------------------------------------------------------
 
 Status FasterKv::Recover() {
-  // Candidate generations: the LATEST hint first (the common case), then
-  // every on-disk generation newest-first. A generation whose artifacts are
-  // torn, bit-flipped, or missing is skipped and the next one is attempted —
-  // recovery lands on the newest *valid* CPR-consistent prefix instead of
-  // failing or silently loading garbage.
-  std::vector<uint64_t> candidates;
-  uint64_t hint = 0;
-  std::string text;
-  if (ReadLatestValue(options_.dir, &text).ok()) {
-    hint = std::strtoull(text.c_str(), nullptr, 10);
-  }
-  if (hint != 0) candidates.push_back(hint);
-  for (uint64_t t : ListCheckpointTokens(options_.dir)) {
-    if (t != hint) candidates.push_back(t);
-  }
-  if (candidates.empty()) {
-    return Status::NotFound("no checkpoint in " + options_.dir);
-  }
-  Status last =
-      Status::Corruption("no valid checkpoint generation in " + options_.dir);
-  for (uint64_t token : candidates) {
-    const Status s = RecoverFromToken(token);
-    if (s.ok()) return s;
-    last = s;
-  }
-  // Configuration errors (e.g. an index-size mismatch) keep their code so
-  // callers can tell "wrong options" from "corrupt store".
-  if (last.code() != Status::Code::kCorruption) return last;
-  return Status::Corruption("no valid checkpoint generation in " +
-                            options_.dir + " (last error: " + last.message() +
-                            ")");
+  // The published generation first, then every other one newest-first: a
+  // generation whose artifacts are torn, bit-flipped or missing is skipped,
+  // so recovery lands on the newest *valid* CPR-consistent prefix instead of
+  // failing or loading garbage. An index-size mismatch keeps its
+  // InvalidArgument code ("wrong options", not "corrupt store").
+  return MetaChain(options_.dir).Walk(
+      [this](uint64_t token) { return RecoverFromToken(token); });
 }
 
 Status FasterKv::Recover(uint64_t token) { return RecoverFromToken(token); }
@@ -1407,10 +1286,12 @@ Status FasterKv::ValidateCheckpoint(uint64_t token) {
   CheckpointMetadata meta;
   Status s = LoadCheckpointMetadata(token, &meta);
   if (!s.ok()) return s;
-  s = ProbeCheckedBlob(IndexPath(options_.dir, meta.index_token), kIndexMagic);
+  s = ProbeCheckedBlob(IndexChain(options_.dir).Path(meta.index_token),
+                       kIndexMagic);
   if (!s.ok()) return s;
   if (meta.variant == CommitVariant::kSnapshot) {
-    s = ProbeCheckedBlob(SnapshotPath(options_.dir, meta.token), kSnapMagic);
+    s = ProbeCheckedBlob(SnapshotChain(options_.dir).Path(meta.token),
+                         kSnapMagic);
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -1424,15 +1305,13 @@ Status FasterKv::RecoverFromToken(uint64_t token) {
 
   // 2. Fuzzy index image.
   std::vector<char> payload;
-  s = ReadCheckedBlob(IndexPath(options_.dir, meta.index_token), kIndexMagic,
-                      &payload);
+  s = ReadCheckedBlob(IndexChain(options_.dir).Path(meta.index_token),
+                      kIndexMagic, &payload);
   if (!s.ok()) return s;
+  PodReader r(payload);
   Address li = 0;
   uint64_t num_buckets = 0, num_overflow = 0;
-  size_t poff = 0;
-  if (!ConsumePod(payload, &poff, &li) ||
-      !ConsumePod(payload, &poff, &num_buckets) ||
-      !ConsumePod(payload, &poff, &num_overflow)) {
+  if (!r.Pod(&li) || !r.Pod(&num_buckets) || !r.Pod(&num_overflow)) {
     return Status::Corruption("index image header truncated");
   }
   if (num_buckets != index_->num_buckets()) {
@@ -1442,8 +1321,7 @@ Status FasterKv::RecoverFromToken(uint64_t token) {
   // Clear first: a previous failed candidate attempt may have left overflow
   // entries behind, and LoadFrom only overwrites what the image covers.
   index_->Clear();
-  s = index_->LoadFrom(payload.data() + poff, payload.size() - poff,
-                       num_overflow);
+  s = index_->LoadFrom(payload.data() + r.pos(), r.remaining(), num_overflow);
   if (!s.ok()) return s;
 
   // 3. Scan [S, E) of the log, fixing the index (Alg. 3).
@@ -1456,8 +1334,8 @@ Status FasterKv::RecoverFromToken(uint64_t token) {
     // Materialize the snapshot region into the log file first: the volatile
     // portion [snapshot_start, Lhe) was captured only in the side file.
     std::vector<char> buf;
-    s = ReadCheckedBlob(SnapshotPath(options_.dir, meta.token), kSnapMagic,
-                        &buf);
+    s = ReadCheckedBlob(SnapshotChain(options_.dir).Path(meta.token),
+                        kSnapMagic, &buf);
     if (!s.ok()) return s;
     const uint64_t len = meta.lhe - meta.snapshot_start;
     if (buf.size() != len) {

@@ -291,10 +291,6 @@ class FasterKv {
   // manifest still references. Replaces the previous pin set.
   void PinCheckpointTokens(std::set<uint64_t> tokens);
 
-  // Debug aid: prints one line per parked operation of `session` (key,
-  // version, latch/IO state, and the key's current chain-head record).
-  void DebugDumpPending(Session& session) const;
-
   // -- Log maintenance -----------------------------------------------------
 
   // Truncates the log: records below `until` become unreachable (keys whose
@@ -328,9 +324,6 @@ class FasterKv {
   HybridLog& hlog() { return *hlog_; }
   HashIndex& index() { return *index_; }
   EpochFramework& epoch() { return epoch_; }
-  uint64_t pending_v_ops(uint32_t version) const {
-    return pending_count_[version & 1].load(std::memory_order_acquire);
-  }
 
  private:
   enum class OpOutcome : uint8_t {
@@ -389,10 +382,6 @@ class FasterKv {
   // generations (keeping index images still referenced by a retained one).
   void GarbageCollectCheckpoints();
 
-  // Runs `attempt` up to checkpoint_retry_attempts times with bounded
-  // exponential backoff; returns the last status.
-  Status RetryIo(const std::function<Status()>& attempt);
-
   // Closes the in-flight checkpoint's current phase at `now`: emits a
   // complete tracer span (cat "faster", id = checkpoint token), adds the
   // duration to the per-phase ns counter, and restarts the phase clock.
@@ -425,6 +414,10 @@ class FasterKv {
   std::atomic<bool> index_failed_{false};
   std::atomic<uint64_t> last_completed_token_{0};
   std::atomic<uint64_t> last_finished_token_{0};
+  // Source of checkpoint and index tokens: a counter seeded above every
+  // token on disk, so a new generation always orders after the recovered
+  // ones (a clock restarts at boot; a counter seeded from disk does not).
+  std::atomic<uint64_t> next_token_{1};
   std::atomic<uint64_t> checkpoint_failures_{0};
   uint64_t last_index_token_ = 0;  // guarded by ckpt_mu_
   Address last_index_li_ = 0;      // guarded by ckpt_mu_

@@ -1,17 +1,44 @@
 #include "io/blob.h"
 
-#include <cstring>
-
 #include "io/file.h"
 #include "util/crc32c.h"
+#include "util/pod.h"
 
 namespace cpr {
 namespace {
 
 constexpr uint64_t kMaxBlobPayload = 1ull << 40;  // sanity bound for lengths
-constexpr size_t kMaxLatestBytes = 256;
 
-std::string LatestPath(const std::string& dir) { return dir + "/LATEST"; }
+// Opens `path` and verifies its header against `magic` and the file size.
+Status OpenAndCheckHeader(const std::string& path, uint64_t magic, File* file,
+                          uint64_t* len, uint32_t* crc) {
+  Status s = File::Open(path, /*create=*/false, file);
+  if (!s.ok()) return s;
+  const uint64_t size = file->Size();
+  if (size < kBlobHeaderBytes) {
+    return Status::Corruption("blob truncated: " + path);
+  }
+  char header[kBlobHeaderBytes];
+  s = file->ReadAt(0, header, sizeof(header));
+  if (!s.ok()) return s;
+  PodReader r(header, sizeof(header));
+  uint64_t file_magic = 0;
+  uint32_t version = 0;
+  r.Pod(&file_magic);
+  r.Pod(&version);
+  r.Pod(len);
+  r.Pod(crc);
+  if (file_magic != magic) {
+    return Status::Corruption("blob magic mismatch: " + path);
+  }
+  if (version == 0 || version > kBlobFormatVersion) {
+    return Status::Corruption("blob version unsupported: " + path);
+  }
+  if (*len > kMaxBlobPayload || kBlobHeaderBytes + *len > size) {
+    return Status::Corruption("blob length invalid: " + path);
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -19,17 +46,10 @@ Status WriteCheckedBlob(const std::string& path, uint64_t magic,
                         const std::vector<char>& payload, bool sync) {
   std::vector<char> buf;
   buf.reserve(kBlobHeaderBytes + payload.size());
-  const uint32_t version = kBlobFormatVersion;
-  const uint64_t len = payload.size();
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  const char* p = reinterpret_cast<const char*>(&magic);
-  buf.insert(buf.end(), p, p + sizeof(magic));
-  p = reinterpret_cast<const char*>(&version);
-  buf.insert(buf.end(), p, p + sizeof(version));
-  p = reinterpret_cast<const char*>(&len);
-  buf.insert(buf.end(), p, p + sizeof(len));
-  p = reinterpret_cast<const char*>(&crc);
-  buf.insert(buf.end(), p, p + sizeof(crc));
+  PutPod(&buf, magic);
+  PutPod(&buf, kBlobFormatVersion);
+  PutPod(&buf, static_cast<uint64_t>(payload.size()));
+  PutPod(&buf, Crc32c(payload.data(), payload.size()));
   buf.insert(buf.end(), payload.begin(), payload.end());
 
   File file;
@@ -48,43 +68,16 @@ Status ReadCheckedBlob(const std::string& path, uint64_t magic,
                        std::vector<char>* payload) {
   payload->clear();
   File file;
-  Status s = File::Open(path, /*create=*/false, &file);
-  if (!s.ok()) return s;
-  const uint64_t size = file.Size();
-  if (size < kBlobHeaderBytes) {
-    return Status::Corruption("blob truncated: " + path);
-  }
-  char header[kBlobHeaderBytes];
-  s = file.ReadAt(0, header, sizeof(header));
-  if (!s.ok()) return s;
-  uint64_t file_magic = 0;
-  uint32_t version = 0;
   uint64_t len = 0;
   uint32_t crc = 0;
-  size_t off = 0;
-  std::memcpy(&file_magic, header + off, sizeof(file_magic));
-  off += sizeof(file_magic);
-  std::memcpy(&version, header + off, sizeof(version));
-  off += sizeof(version);
-  std::memcpy(&len, header + off, sizeof(len));
-  off += sizeof(len);
-  std::memcpy(&crc, header + off, sizeof(crc));
-  if (file_magic != magic) {
-    return Status::Corruption("blob magic mismatch: " + path);
-  }
-  if (version == 0 || version > kBlobFormatVersion) {
-    return Status::Corruption("blob version unsupported: " + path);
-  }
-  if (len > kMaxBlobPayload || kBlobHeaderBytes + len > size) {
-    return Status::Corruption("blob length invalid: " + path);
-  }
+  Status s = OpenAndCheckHeader(path, magic, &file, &len, &crc);
+  if (!s.ok()) return s;
   payload->resize(len);
   if (len > 0) {
     s = file.ReadAt(kBlobHeaderBytes, payload->data(), len);
     if (!s.ok()) return s;
   }
-  const uint32_t actual = Crc32c(payload->data(), payload->size());
-  if (actual != crc) {
+  if (Crc32c(payload->data(), payload->size()) != crc) {
     payload->clear();
     return Status::Corruption("blob checksum mismatch: " + path);
   }
@@ -93,78 +86,9 @@ Status ReadCheckedBlob(const std::string& path, uint64_t magic,
 
 Status ProbeCheckedBlob(const std::string& path, uint64_t magic) {
   File file;
-  Status s = File::Open(path, /*create=*/false, &file);
-  if (!s.ok()) return s;
-  const uint64_t size = file.Size();
-  if (size < kBlobHeaderBytes) {
-    return Status::Corruption("blob truncated: " + path);
-  }
-  char header[kBlobHeaderBytes];
-  s = file.ReadAt(0, header, sizeof(header));
-  if (!s.ok()) return s;
-  uint64_t file_magic = 0;
-  uint32_t version = 0;
   uint64_t len = 0;
-  size_t off = 0;
-  std::memcpy(&file_magic, header + off, sizeof(file_magic));
-  off += sizeof(file_magic);
-  std::memcpy(&version, header + off, sizeof(version));
-  off += sizeof(version);
-  std::memcpy(&len, header + off, sizeof(len));
-  if (file_magic != magic) {
-    return Status::Corruption("blob magic mismatch: " + path);
-  }
-  if (version == 0 || version > kBlobFormatVersion) {
-    return Status::Corruption("blob version unsupported: " + path);
-  }
-  if (len > kMaxBlobPayload || kBlobHeaderBytes + len > size) {
-    return Status::Corruption("blob length invalid: " + path);
-  }
-  return Status::Ok();
-}
-
-Status PublishLatest(const std::string& dir, const std::string& value,
-                     bool sync) {
-  const std::string tmp = LatestPath(dir) + ".tmp";
-  File file;
-  Status s = File::Open(tmp, /*create=*/true, &file);
-  if (!s.ok()) return s;
-  s = file.WriteAt(0, value.data(), value.size());
-  if (!s.ok()) return s;
-  if (sync) {
-    s = file.Sync();
-    if (!s.ok()) return s;
-  }
-  s = file.Close();
-  if (!s.ok()) return s;
-  s = RenameFile(tmp, LatestPath(dir));
-  if (!s.ok()) return s;
-  if (sync) {
-    s = FsyncDir(dir);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-Status ReadLatestValue(const std::string& dir, std::string* value) {
-  value->clear();
-  const std::string path = LatestPath(dir);
-  File file;
-  Status s = File::Open(path, /*create=*/false, &file);
-  if (!s.ok()) return Status::NotFound("no LATEST in " + dir);
-  const uint64_t size = file.Size();
-  if (size == 0 || size > kMaxLatestBytes) {
-    return Status::Corruption("LATEST invalid in " + dir);
-  }
-  value->resize(size);
-  s = file.ReadAt(0, value->data(), size);
-  if (!s.ok()) return s;
-  // Trim a trailing newline for robustness against hand edits.
-  while (!value->empty() && (value->back() == '\n' || value->back() == '\r')) {
-    value->pop_back();
-  }
-  if (value->empty()) return Status::Corruption("LATEST empty in " + dir);
-  return Status::Ok();
+  uint32_t crc = 0;
+  return OpenAndCheckHeader(path, magic, &file, &len, &crc);
 }
 
 }  // namespace cpr

@@ -42,19 +42,6 @@ Status ReadCheckedBlob(const std::string& path, uint64_t magic,
 // still caught by the full ReadCheckedBlob when the artifact is loaded.
 Status ProbeCheckedBlob(const std::string& path, uint64_t magic);
 
-// Durable publication of the LATEST checkpoint pointer, shared by the txdb
-// and FasterKv checkpointers: write <dir>/LATEST.tmp, sync it, rename over
-// <dir>/LATEST, then fsync the parent directory (rename alone is not durable
-// across power loss).
-Status PublishLatest(const std::string& dir, const std::string& value,
-                     bool sync);
-
-// Reads the textual LATEST pointer. Missing file → kNotFound; empty or
-// oversized content → kCorruption. The value is advisory: recovery treats it
-// as a hint and falls back to scanning the directory when it is stale or
-// garbage.
-Status ReadLatestValue(const std::string& dir, std::string* value);
-
 }  // namespace cpr
 
 #endif  // CPR_IO_BLOB_H_

@@ -2,63 +2,16 @@
 
 #include <cstring>
 
+#include "util/pod.h"
+
 namespace cpr::net {
 namespace {
-
-template <typename T>
-void AppendPod(std::vector<char>* out, T v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
-// Bounds-checked little-endian reader over a frame payload.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  template <typename T>
-  bool Pod(T* out) {
-    if (data_.size() - pos_ < sizeof(T)) return false;
-    std::memcpy(out, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  // Consumes all remaining bytes.
-  void Rest(std::vector<char>* out) {
-    out->assign(data_.begin() + pos_, data_.end());
-    pos_ = data_.size();
-  }
-
-  // Consumes exactly `n` bytes (false if fewer remain).
-  bool Bytes(size_t n, std::vector<char>* out) {
-    if (data_.size() - pos_ < n) return false;
-    out->assign(data_.begin() + pos_, data_.begin() + pos_ + n);
-    pos_ += n;
-    return true;
-  }
-
-  // Consumes exactly `n` bytes as a view into the payload (false if fewer
-  // remain). Valid only while the underlying payload buffer lives.
-  bool View(size_t n, std::string_view* out) {
-    if (data_.size() - pos_ < n) return false;
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 // Patches the frame length header once the payload is fully appended.
 class FrameWriter {
  public:
   explicit FrameWriter(std::vector<char>* out) : out_(out), start_(out->size()) {
-    AppendPod<uint32_t>(out_, 0);
+    PutPod<uint32_t>(out_, 0);
   }
   ~FrameWriter() {
     const uint32_t len =
@@ -74,28 +27,28 @@ class FrameWriter {
 // Appends the TXN op-list wire form (count + ops) for ops[begin, end).
 void AppendTxnOps(std::vector<char>* out, const std::vector<TxnWireOp>& ops,
                   size_t begin, size_t end) {
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(end - begin));
+  PutPod<uint32_t>(out, static_cast<uint32_t>(end - begin));
   for (size_t i = begin; i < end; ++i) {
     const TxnWireOp& top = ops[i];
-    AppendPod<uint8_t>(out, static_cast<uint8_t>(top.kind));
-    AppendPod<uint32_t>(out, top.table);
-    AppendPod<uint64_t>(out, top.row);
+    PutPod<uint8_t>(out, static_cast<uint8_t>(top.kind));
+    PutPod<uint32_t>(out, top.table);
+    PutPod<uint64_t>(out, top.row);
     switch (top.kind) {
       case TxnOpKind::kRead:
         break;
       case TxnOpKind::kWrite:
-        AppendPod<uint32_t>(out, static_cast<uint32_t>(top.value.size()));
+        PutPod<uint32_t>(out, static_cast<uint32_t>(top.value.size()));
         out->insert(out->end(), top.value.begin(), top.value.end());
         break;
       case TxnOpKind::kAdd:
-        AppendPod<int64_t>(out, top.delta);
+        PutPod<int64_t>(out, top.delta);
         break;
     }
   }
 }
 
 // Decodes a TXN op-list (count + ops) with per-frame validation.
-bool ReadTxnOps(Reader* r, std::vector<TxnWireOp>* out) {
+bool ReadTxnOps(PodReader* r, std::vector<TxnWireOp>* out) {
   uint32_t n_ops = 0;
   if (!r->Pod(&n_ops)) return false;
   if (n_ops == 0 || n_ops > kMaxTxnOps) return false;
@@ -142,7 +95,7 @@ bool IsBatchableOp(Op op) {
 // Rejects nested BATCH by peeking the sub-payload's op byte BEFORE recursing,
 // so a hostile frame cannot nest decoders arbitrarily deep.
 template <typename Msg, typename DecodeSub>
-bool ReadBatch(Reader* r, std::vector<Msg>* out, DecodeSub decode_sub) {
+bool ReadBatch(PodReader* r, std::vector<Msg>* out, DecodeSub decode_sub) {
   uint32_t n = 0;
   if (!r->Pod(&n)) return false;
   if (n == 0 || n > kMaxBatchOps) return false;
@@ -178,55 +131,55 @@ FrameResult TryExtractFrame(const char* data, size_t size,
 
 void EncodeRequest(const Request& req, std::vector<char>* out) {
   FrameWriter frame(out);
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(req.op));
-  AppendPod<uint32_t>(out, req.seq);
+  PutPod<uint8_t>(out, static_cast<uint8_t>(req.op));
+  PutPod<uint32_t>(out, req.seq);
   switch (req.op) {
     case Op::kHello:
-      AppendPod<uint64_t>(out, req.guid);
-      AppendPod<uint8_t>(out, static_cast<uint8_t>(req.ack_mode));
+      PutPod<uint64_t>(out, req.guid);
+      PutPod<uint8_t>(out, static_cast<uint8_t>(req.ack_mode));
       break;
     case Op::kRead:
     case Op::kDelete:
-      AppendPod<uint64_t>(out, req.key);
+      PutPod<uint64_t>(out, req.key);
       break;
     case Op::kUpsert:
-      AppendPod<uint64_t>(out, req.key);
+      PutPod<uint64_t>(out, req.key);
       out->insert(out->end(), req.value.begin(), req.value.end());
       break;
     case Op::kRmw:
-      AppendPod<uint64_t>(out, req.key);
-      AppendPod<int64_t>(out, req.delta);
+      PutPod<uint64_t>(out, req.key);
+      PutPod<int64_t>(out, req.delta);
       break;
     case Op::kCheckpoint:
-      AppendPod<uint8_t>(out, req.variant);
-      AppendPod<uint8_t>(out, req.include_index ? 1 : 0);
+      PutPod<uint8_t>(out, req.variant);
+      PutPod<uint8_t>(out, req.include_index ? 1 : 0);
       break;
     case Op::kCommitPoint:
       break;
     case Op::kStats:
-      AppendPod<uint8_t>(out, static_cast<uint8_t>(req.stats_kind));
+      PutPod<uint8_t>(out, static_cast<uint8_t>(req.stats_kind));
       break;
     case Op::kTxn:
       AppendTxnOps(out, req.txn_ops, 0, req.txn_ops.size());
       break;
     case Op::kTxnChunk:
-      AppendPod<uint32_t>(out, req.chunk_index);
+      PutPod<uint32_t>(out, req.chunk_index);
       AppendTxnOps(out, req.txn_ops, 0, req.txn_ops.size());
       break;
     case Op::kDump:
-      AppendPod<uint32_t>(out, req.table);
-      AppendPod<uint64_t>(out, req.start_row);
-      AppendPod<uint32_t>(out, req.max_rows);
+      PutPod<uint32_t>(out, req.table);
+      PutPod<uint64_t>(out, req.start_row);
+      PutPod<uint32_t>(out, req.max_rows);
       break;
     case Op::kProvider:
-      AppendPod<uint8_t>(out, static_cast<uint8_t>(req.provider_action));
-      AppendPod<uint8_t>(out, static_cast<uint8_t>(req.provider_kind));
+      PutPod<uint8_t>(out, static_cast<uint8_t>(req.provider_action));
+      PutPod<uint8_t>(out, static_cast<uint8_t>(req.provider_kind));
       break;
     case Op::kBatch:
       // Each sub-request travels as u32 len + payload — byte-identical to a
       // standalone frame, so recursing appends exactly the sub-message form
       // and the outer FrameWriter's length patch covers everything.
-      AppendPod<uint32_t>(out, static_cast<uint32_t>(req.batch.size()));
+      PutPod<uint32_t>(out, static_cast<uint32_t>(req.batch.size()));
       for (const Request& sub : req.batch) EncodeRequest(sub, out);
       break;
   }
@@ -243,27 +196,27 @@ void EncodeTxnChunked(const Request& req, std::vector<char>* out) {
   uint32_t chunk_index = 0;
   while (req.txn_ops.size() - pos > kMaxTxnOps) {
     FrameWriter frame(out);
-    AppendPod<uint8_t>(out, static_cast<uint8_t>(Op::kTxnChunk));
-    AppendPod<uint32_t>(out, req.seq);
-    AppendPod<uint32_t>(out, chunk_index++);
+    PutPod<uint8_t>(out, static_cast<uint8_t>(Op::kTxnChunk));
+    PutPod<uint32_t>(out, req.seq);
+    PutPod<uint32_t>(out, chunk_index++);
     AppendTxnOps(out, req.txn_ops, pos, pos + kMaxTxnOps);
     pos += kMaxTxnOps;
   }
   FrameWriter frame(out);
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(Op::kTxn));
-  AppendPod<uint32_t>(out, req.seq);
+  PutPod<uint8_t>(out, static_cast<uint8_t>(Op::kTxn));
+  PutPod<uint32_t>(out, req.seq);
   AppendTxnOps(out, req.txn_ops, pos, req.txn_ops.size());
 }
 
 size_t BeginBatchResponse(uint32_t seq, uint64_t max_serial, uint32_t n,
                           std::vector<char>* out) {
   const size_t start = out->size();
-  AppendPod<uint32_t>(out, 0);  // patched by EndBatchResponse
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(Op::kBatch));
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(WireStatus::kOk));
-  AppendPod<uint32_t>(out, seq);
-  AppendPod<uint64_t>(out, max_serial);
-  AppendPod<uint32_t>(out, n);
+  PutPod<uint32_t>(out, 0);  // patched by EndBatchResponse
+  PutPod<uint8_t>(out, static_cast<uint8_t>(Op::kBatch));
+  PutPod<uint8_t>(out, static_cast<uint8_t>(WireStatus::kOk));
+  PutPod<uint32_t>(out, seq);
+  PutPod<uint64_t>(out, max_serial);
+  PutPod<uint32_t>(out, n);
   return start;
 }
 
@@ -275,15 +228,15 @@ void EndBatchResponse(size_t start, std::vector<char>* out) {
 
 void EncodeResponse(const Response& resp, std::vector<char>* out) {
   FrameWriter frame(out);
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(resp.op));
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(resp.status));
-  AppendPod<uint32_t>(out, resp.seq);
-  AppendPod<uint64_t>(out, resp.serial);
+  PutPod<uint8_t>(out, static_cast<uint8_t>(resp.op));
+  PutPod<uint8_t>(out, static_cast<uint8_t>(resp.status));
+  PutPod<uint32_t>(out, resp.seq);
+  PutPod<uint64_t>(out, resp.serial);
   switch (resp.op) {
     case Op::kHello:
-      AppendPod<uint64_t>(out, resp.guid);
-      AppendPod<uint64_t>(out, resp.recovered_serial);
-      AppendPod<uint32_t>(out, resp.value_size);
+      PutPod<uint64_t>(out, resp.guid);
+      PutPod<uint64_t>(out, resp.recovered_serial);
+      PutPod<uint32_t>(out, resp.value_size);
       break;
     case Op::kRead:
       if (resp.status == WireStatus::kOk) {
@@ -295,25 +248,25 @@ void EncodeResponse(const Response& resp, std::vector<char>* out) {
     case Op::kDelete:
       break;
     case Op::kCheckpoint:
-      AppendPod<uint64_t>(out, resp.token);
-      AppendPod<uint64_t>(out, resp.commit_serial);
+      PutPod<uint64_t>(out, resp.token);
+      PutPod<uint64_t>(out, resp.commit_serial);
       break;
     case Op::kCommitPoint:
-      AppendPod<uint64_t>(out, resp.commit_serial);
+      PutPod<uint64_t>(out, resp.commit_serial);
       break;
     case Op::kStats:
       // Explicit size (not frame-implied): the payload may be empty, and a
       // future version may append fields after the bytes.
-      AppendPod<uint32_t>(out, static_cast<uint32_t>(resp.stats.size()));
+      PutPod<uint32_t>(out, static_cast<uint32_t>(resp.stats.size()));
       out->insert(out->end(), resp.stats.begin(), resp.stats.end());
       break;
     case Op::kTxn:
       // Read results travel only on commit; an aborted or rejected
       // transaction has no observable effects to report.
       if (resp.status == WireStatus::kOk) {
-        AppendPod<uint32_t>(out, static_cast<uint32_t>(resp.txn_reads.size()));
+        PutPod<uint32_t>(out, static_cast<uint32_t>(resp.txn_reads.size()));
         for (const std::vector<char>& read : resp.txn_reads) {
-          AppendPod<uint32_t>(out, static_cast<uint32_t>(read.size()));
+          PutPod<uint32_t>(out, static_cast<uint32_t>(read.size()));
           out->insert(out->end(), read.begin(), read.end());
         }
       }
@@ -323,27 +276,27 @@ void EncodeResponse(const Response& resp, std::vector<char>* out) {
       break;
     case Op::kDump:
       if (resp.status == WireStatus::kOk) {
-        AppendPod<uint32_t>(out, resp.value_size);
-        AppendPod<uint64_t>(out, resp.dump_rows_total);
-        AppendPod<uint64_t>(out, resp.dump_next_row);
-        AppendPod<uint32_t>(out, static_cast<uint32_t>(resp.dump_rows.size()));
+        PutPod<uint32_t>(out, resp.value_size);
+        PutPod<uint64_t>(out, resp.dump_rows_total);
+        PutPod<uint64_t>(out, resp.dump_next_row);
+        PutPod<uint32_t>(out, static_cast<uint32_t>(resp.dump_rows.size()));
         for (const DumpRow& row : resp.dump_rows) {
-          AppendPod<uint64_t>(out, row.row);
+          PutPod<uint64_t>(out, row.row);
           out->insert(out->end(), row.value.begin(), row.value.end());
         }
       }
       break;
     case Op::kProvider:
-      AppendPod<uint8_t>(out, static_cast<uint8_t>(resp.provider_kind));
-      AppendPod<uint8_t>(out, resp.provider_pending ? 1 : 0);
-      AppendPod<uint64_t>(out, resp.provider_switches);
-      AppendPod<uint64_t>(out, resp.provider_last_boundary);
+      PutPod<uint8_t>(out, static_cast<uint8_t>(resp.provider_kind));
+      PutPod<uint8_t>(out, resp.provider_pending ? 1 : 0);
+      PutPod<uint64_t>(out, resp.provider_switches);
+      PutPod<uint64_t>(out, resp.provider_last_boundary);
       break;
     case Op::kBatch:
       // Sub-responses travel only on OK, like TXN reads: a batch-level
       // failure (BAD_REQUEST echo) has no per-op results to report.
       if (resp.status == WireStatus::kOk) {
-        AppendPod<uint32_t>(out, static_cast<uint32_t>(resp.batch.size()));
+        PutPod<uint32_t>(out, static_cast<uint32_t>(resp.batch.size()));
         for (const Response& sub : resp.batch) EncodeResponse(sub, out);
       }
       break;
@@ -352,7 +305,7 @@ void EncodeResponse(const Response& resp, std::vector<char>* out) {
 
 bool DecodeRequest(std::string_view payload, Request* out) {
   *out = Request{};  // decoders fully overwrite: no residue on reused structs
-  Reader r(payload);
+  PodReader r(payload);
   uint8_t op = 0;
   if (!r.Pod(&op) || !r.Pod(&out->seq)) return false;
   if (op < static_cast<uint8_t>(Op::kHello) ||
@@ -430,7 +383,7 @@ bool DecodeRequest(std::string_view payload, Request* out) {
 
 bool DecodeResponse(std::string_view payload, Response* out) {
   *out = Response{};
-  Reader r(payload);
+  PodReader r(payload);
   uint8_t op = 0;
   uint8_t status = 0;
   if (!r.Pod(&op) || !r.Pod(&status) || !r.Pod(&out->seq) ||

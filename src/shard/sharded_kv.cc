@@ -2,81 +2,26 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "io/blob.h"
 #include "io/file.h"
+#include "io/generations.h"
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/hash.h"
+#include "util/pod.h"
 
 namespace cpr::kv {
 
 namespace {
 
 constexpr uint64_t kManifestMagic = 0x4350525348415244ULL;  // "CPRSHARD"
-constexpr char kManifestPrefix[] = "manifest.";
-constexpr char kManifestSuffix[] = ".meta";
 
-std::string ManifestName(uint64_t round) {
-  return std::string(kManifestPrefix) + std::to_string(round) + kManifestSuffix;
-}
-
-bool ParseManifestRound(const std::string& name, uint64_t* round) {
-  const size_t prefix = sizeof(kManifestPrefix) - 1;
-  const size_t suffix = sizeof(kManifestSuffix) - 1;
-  if (name.size() <= prefix + suffix) return false;
-  if (name.compare(0, prefix, kManifestPrefix) != 0) return false;
-  if (name.compare(name.size() - suffix, suffix, kManifestSuffix) != 0) {
-    return false;
-  }
-  const std::string digits = name.substr(prefix, name.size() - prefix - suffix);
-  if (digits.empty()) return false;
-  uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *round = value;
-  return true;
-}
-
-template <typename T>
-void AppendPod(std::vector<char>& buf, const T& v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-bool ConsumePod(const std::vector<char>& buf, size_t* off, T* out) {
-  if (*off + sizeof(T) > buf.size()) return false;
-  std::memcpy(out, buf.data() + *off, sizeof(T));
-  *off += sizeof(T);
-  return true;
-}
-
-// Parses a manifest payload's header and per-shard tokens; `off` ends past
-// the token list (the session points follow).
-bool ParseManifestTokens(const std::vector<char>& payload, uint64_t round,
-                         uint32_t num_shards, std::vector<uint64_t>* tokens,
-                         size_t* off) {
-  *off = 0;
-  uint64_t stored_round = 0;
-  uint32_t stored_shards = 0;
-  uint32_t reserved = 0;
-  if (!ConsumePod(payload, off, &stored_round) ||
-      !ConsumePod(payload, off, &stored_shards) ||
-      !ConsumePod(payload, off, &reserved) || stored_round != round ||
-      stored_shards != num_shards) {
-    return false;
-  }
-  tokens->assign(num_shards, 0);
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    if (!ConsumePod(payload, off, &(*tokens)[i])) return false;
-  }
-  return true;
+// Cross-shard manifests: manifest.<round>.meta in the root directory, with
+// LATEST holding the published manifest's file name.
+GenerationChain ManifestChain(const std::string& dir) {
+  return GenerationChain(dir, "manifest.", ".meta", LatestForm::kName);
 }
 
 }  // namespace
@@ -138,10 +83,11 @@ ShardedKv::ShardedKv(Options options)
     o.dir = root_dir_ + "/shard-" + std::to_string(i);
     if (options_.retain_manifests > 0 && o.retain_checkpoints > 0) {
       // Backstop only: every retained manifest's tokens are pinned against
-      // shard-local GC explicitly (PinRetainedManifestTokens), so
-      // correctness does not depend on this count — a wider retain window
-      // merely reduces churn when failed rounds advance shard generations
-      // without advancing manifests.
+      // shard-local GC explicitly (PinRetainedManifestTokens), and the
+      // generation a round has just written is its shard's newest (engine
+      // tokens only grow), so any count keeps it until its manifest pins it.
+      // A wider window merely reduces churn when failed rounds advance
+      // shard generations without advancing manifests.
       o.retain_checkpoints =
           std::max(o.retain_checkpoints, 2 * options_.retain_manifests);
     }
@@ -558,26 +504,24 @@ bool ShardedKv::BuildAndPublishManifest(uint64_t round,
   }
 
   std::vector<char> payload;
-  AppendPod(payload, round);
-  AppendPod(payload, num_shards_);
-  AppendPod(payload, uint32_t{0});  // reserved
-  for (uint64_t token : tokens) AppendPod(payload, token);
-  AppendPod(payload, static_cast<uint64_t>(next.size()));
+  PutPod(&payload, round);
+  PutPod(&payload, num_shards_);
+  PutPod(&payload, uint32_t{0});  // reserved
+  for (uint64_t token : tokens) PutPod(&payload, token);
+  PutPod(&payload, static_cast<uint64_t>(next.size()));
   for (const auto& [guid, p] : next) {
-    AppendPod(payload, guid);
-    AppendPod(payload, p.global);
-    for (uint64_t point : p.per_shard) AppendPod(payload, point);
+    PutPod(&payload, guid);
+    PutPod(&payload, p.global);
+    for (uint64_t point : p.per_shard) PutPod(&payload, point);
   }
 
-  const std::string name = ManifestName(round);
-  if (!WriteCheckedBlob(root_dir_ + "/" + name, kManifestMagic, payload,
+  const GenerationChain chain = ManifestChain(root_dir_);
+  if (!WriteCheckedBlob(chain.Path(round), kManifestMagic, payload,
                         options_.base.sync_to_disk)
            .ok()) {
     return false;
   }
-  if (!PublishLatest(root_dir_, name, options_.base.sync_to_disk).ok()) {
-    return false;
-  }
+  if (!chain.Publish(round, options_.base.sync_to_disk).ok()) return false;
 
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -591,17 +535,11 @@ bool ShardedKv::BuildAndPublishManifest(uint64_t round,
 
 void ShardedKv::GarbageCollectManifests() {
   if (options_.retain_manifests == 0) return;
-  std::vector<std::string> names;
-  if (!ListDirectory(root_dir_, &names).ok()) return;
-  std::vector<uint64_t> rounds;
-  for (const std::string& name : names) {
-    uint64_t r = 0;
-    if (ParseManifestRound(name, &r)) rounds.push_back(r);
-  }
-  std::sort(rounds.begin(), rounds.end(), std::greater<uint64_t>());
-  for (size_t i = options_.retain_manifests; i < rounds.size(); ++i) {
-    std::remove((root_dir_ + "/" + ManifestName(rounds[i])).c_str());
-  }
+  const GenerationChain chain = ManifestChain(root_dir_);
+  const std::vector<uint64_t> rounds = chain.List();
+  if (rounds.size() <= options_.retain_manifests) return;
+  chain.Prune(std::set<uint64_t>(
+      rounds.begin(), rounds.begin() + options_.retain_manifests));
 }
 
 void ShardedKv::PinRetainedManifestTokens() {
@@ -612,23 +550,12 @@ void ShardedKv::PinRetainedManifestTokens() {
   // checkpoint is in flight when this runs (the coordinator publishes only
   // after every shard's round concluded; Recover runs before sessions
   // start), so a pin can never arrive after the GC it needed to influence.
-  std::vector<std::string> names;
-  if (!ListDirectory(root_dir_, &names).ok()) return;
   std::vector<std::set<uint64_t>> pins(num_shards_);
-  for (const std::string& name : names) {
-    uint64_t round = 0;
-    if (!ParseManifestRound(name, &round)) continue;
-    std::vector<char> payload;
-    if (!ReadCheckedBlob(root_dir_ + "/" + name, kManifestMagic, &payload)
-             .ok()) {
-      continue;  // unrecoverable manifest anyway (Recover skips it too)
-    }
-    std::vector<uint64_t> tokens;
-    size_t off = 0;
-    if (!ParseManifestTokens(payload, round, num_shards_, &tokens, &off)) {
-      continue;
-    }
-    for (uint32_t i = 0; i < num_shards_; ++i) pins[i].insert(tokens[i]);
+  for (uint64_t round : ManifestChain(root_dir_).List()) {
+    RecoveryCandidate c;
+    // An unloadable manifest is unrecoverable anyway (Recover skips it too).
+    if (!LoadManifest(round, &c)) continue;
+    for (uint32_t i = 0; i < num_shards_; ++i) pins[i].insert(c.tokens[i]);
   }
   for (uint32_t i = 0; i < num_shards_; ++i) {
     shards_[i]->PinCheckpointTokens(std::move(pins[i]));
@@ -637,55 +564,47 @@ void ShardedKv::PinRetainedManifestTokens() {
 
 // -- Recovery -------------------------------------------------------------
 
-std::vector<ShardedKv::RecoveryCandidate> ShardedKv::CollectRecoveryCandidates() {
-  std::vector<std::string> names;
-  if (!ListDirectory(root_dir_, &names).ok()) return {};
-  std::vector<uint64_t> rounds;
-  for (const std::string& name : names) {
-    uint64_t r = 0;
-    if (ParseManifestRound(name, &r)) rounds.push_back(r);
+bool ShardedKv::LoadManifest(uint64_t round, RecoveryCandidate* out) const {
+  std::vector<char> payload;
+  if (!ReadCheckedBlob(ManifestChain(root_dir_).Path(round), kManifestMagic,
+                       &payload)
+           .ok()) {
+    return false;
   }
-  std::sort(rounds.begin(), rounds.end(), std::greater<uint64_t>());
-
-  // LATEST is an advisory hint: try its round first, then everything else
-  // newest-first (covers a published-but-stale or corrupted pointer).
-  std::string latest;
-  uint64_t hint = 0;
-  if (ReadLatestValue(root_dir_, &latest).ok() &&
-      ParseManifestRound(latest, &hint)) {
-    auto it = std::find(rounds.begin(), rounds.end(), hint);
-    if (it != rounds.end()) std::rotate(rounds.begin(), it, it + 1);
+  PodReader r(payload);
+  uint64_t stored_round = 0;
+  uint32_t stored_shards = 0;
+  uint32_t reserved = 0;
+  if (!r.Pod(&stored_round) || !r.Pod(&stored_shards) || !r.Pod(&reserved) ||
+      stored_round != round || stored_shards != num_shards_) {
+    return false;
   }
+  out->round = round;
+  out->tokens.assign(num_shards_, 0);
+  for (uint64_t& token : out->tokens) {
+    if (!r.Pod(&token)) return false;
+  }
+  uint64_t num_sessions = 0;
+  if (!r.Pod(&num_sessions)) return false;
+  for (uint64_t s = 0; s < num_sessions; ++s) {
+    uint64_t guid = 0;
+    SessionPoints p;
+    p.per_shard.assign(num_shards_, 0);
+    if (!r.Pod(&guid) || !r.Pod(&p.global)) return false;
+    for (uint64_t& point : p.per_shard) {
+      if (!r.Pod(&point)) return false;
+    }
+    out->points.emplace(guid, std::move(p));
+  }
+  return true;
+}
 
+std::vector<ShardedKv::RecoveryCandidate>
+ShardedKv::CollectRecoveryCandidates() {
   std::vector<RecoveryCandidate> candidates;
-  for (uint64_t round : rounds) {
-    std::vector<char> payload;
-    if (!ReadCheckedBlob(root_dir_ + "/" + ManifestName(round), kManifestMagic,
-                         &payload)
-             .ok()) {
-      continue;
-    }
-    size_t off = 0;
+  for (uint64_t round : ManifestChain(root_dir_).RecoveryOrder()) {
     RecoveryCandidate c;
-    c.round = round;
-    if (!ParseManifestTokens(payload, round, num_shards_, &c.tokens, &off)) {
-      continue;
-    }
-    uint64_t num_sessions = 0;
-    bool parsed = ConsumePod(payload, &off, &num_sessions);
-    for (uint64_t s = 0; s < num_sessions && parsed; ++s) {
-      uint64_t guid = 0;
-      SessionPoints p;
-      p.per_shard.assign(num_shards_, 0);
-      parsed = ConsumePod(payload, &off, &guid) &&
-               ConsumePod(payload, &off, &p.global);
-      for (uint32_t i = 0; i < num_shards_ && parsed; ++i) {
-        parsed = ConsumePod(payload, &off, &p.per_shard[i]);
-      }
-      if (parsed) c.points.emplace(guid, std::move(p));
-    }
-    if (!parsed) continue;
-    candidates.push_back(std::move(c));
+    if (LoadManifest(round, &c)) candidates.push_back(std::move(c));
   }
   return candidates;
 }

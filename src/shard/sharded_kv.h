@@ -29,7 +29,8 @@
 // degrades those acks to NOT_DURABLE) without stalling other shards or
 // subsequent rounds.
 //
-// Recovery walks manifests newest-first (LATEST is only a hint) and restores
+// Recovery walks manifests in the chain's recovery order (the one LATEST
+// publishes, then the rest newest-first; io/generations.h) and restores
 // EVERY shard to the token named by the first manifest whose shards all
 // recover — shards that checkpointed past an unpublished manifest are rolled
 // back to the global commit point, exactly the cross-client symmetry CPR
@@ -195,8 +196,11 @@ class ShardedKv final : public Backend {
     std::map<uint64_t, SessionPoints> points;
   };
 
-  // Parses every on-disk manifest into candidates, newest-first with the
-  // LATEST hint fronted. Unreadable/unparseable manifests are skipped.
+  // Reads and parses manifest `round`; false when it does not verify or
+  // names a different round or shard count.
+  bool LoadManifest(uint64_t round, RecoveryCandidate* out) const;
+  // Every loadable manifest as a candidate, in the chain's recovery order
+  // (the published one first, then newest-first).
   std::vector<RecoveryCandidate> CollectRecoveryCandidates();
   // O(1)-per-shard structural preflight of a candidate's checkpoints.
   bool PreflightCandidate(const RecoveryCandidate& candidate);

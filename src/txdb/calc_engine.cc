@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "io/retry.h"
 #include "txdb/checkpoint_io.h"
 
 namespace cpr::txdb {
@@ -172,9 +173,11 @@ void CalcEngine::CaptureAndPersist(uint64_t v) {
   }
 
   const TransactionalDb::Options& opts = db_.options();
-  const Status s = WriteCheckpointWithRetry(
-      opts.durability_dir, meta, data, opts.sync_to_disk,
-      opts.checkpoint_retry_attempts, opts.checkpoint_retry_backoff_ms);
+  const Status s = RetryWithBackoff(
+      opts.checkpoint_retry_attempts, opts.checkpoint_retry_backoff_ms, [&] {
+        return WriteCheckpoint(opts.durability_dir, meta, data,
+                               opts.sync_to_disk);
+      });
   if (s.ok()) {
     RetainCheckpoints(opts.durability_dir, opts.retain_checkpoints);
   }
@@ -215,38 +218,18 @@ uint64_t CalcEngine::CurrentVersion() const {
 }
 
 Status CalcEngine::Recover(std::vector<CommitPoint>* points) {
-  const std::string& dir = db_.options().durability_dir;
-  std::vector<uint64_t> candidates;
-  Status s = ListRecoveryCandidates(dir, &candidates);
+  CheckpointMeta meta;
+  const Status s = RecoverCheckpoint(db_.options().durability_dir,
+                                     db_.storage(), &meta);
   if (!s.ok()) return s;
-  if (candidates.empty()) {
-    return Status::NotFound("no checkpoint published in " + dir);
+  state_.store(Pack(false, meta.version + 1), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_durable_version_ = meta.version;
+    last_finished_version_ = meta.version;
   }
-  Storage& storage = db_.storage();
-  // CALC captures are always full images, so each candidate stands alone;
-  // walk newest-first until one verifies and applies.
-  Status last = Status::Corruption("no valid checkpoint generation in " + dir);
-  for (uint64_t candidate : candidates) {
-    CheckpointMeta meta;
-    std::vector<char> data;
-    s = ReadCheckpointAt(dir, candidate, &meta, &data);
-    if (s.ok()) s = ApplyCheckpointData(storage, meta, data);
-    if (!s.ok()) {
-      last = s;
-      continue;
-    }
-    state_.store(Pack(false, meta.version + 1), std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_durable_version_ = meta.version;
-      last_finished_version_ = meta.version;
-    }
-    *points = meta.points;
-    return Status::Ok();
-  }
-  if (last.code() != Status::Code::kCorruption) return last;
-  return Status::Corruption("no valid checkpoint generation in " + dir +
-                            " (last error: " + last.message() + ")");
+  *points = meta.points;
+  return Status::Ok();
 }
 
 }  // namespace cpr::txdb

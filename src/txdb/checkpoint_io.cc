@@ -1,13 +1,11 @@
 #include "txdb/checkpoint_io.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <set>
-#include <thread>
 
 #include "io/blob.h"
 #include "io/file.h"
+#include "util/pod.h"
 
 namespace cpr::txdb {
 
@@ -16,142 +14,112 @@ namespace {
 constexpr uint64_t kMetaMagic = 0x4350525F434B5054ull;  // "CPR_CKPT"
 constexpr uint64_t kDataMagic = 0x4350525F44415441ull;  // "CPR_DATA"
 
-std::string DataPath(const std::string& dir, uint64_t v) {
-  return dir + "/v" + std::to_string(v) + ".data";
-}
-std::string MetaPath(const std::string& dir, uint64_t v) {
-  return dir + "/v" + std::to_string(v) + ".meta";
-}
-
-template <typename T>
-void Append(std::vector<char>& buf, const T& value) {
-  const char* p = reinterpret_cast<const char*>(&value);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-Status Consume(const std::vector<char>& buf, size_t* off, T* out) {
-  if (*off + sizeof(T) > buf.size()) {
-    return Status::Corruption("truncated checkpoint metadata");
-  }
-  std::memcpy(out, buf.data() + *off, sizeof(T));
-  *off += sizeof(T);
-  return Status::Ok();
+GenerationChain DataChain(const std::string& dir) {
+  return GenerationChain(dir, "v", ".data");
 }
 
 Status DecodeMetaPayload(const std::vector<char>& mbuf, CheckpointMeta* meta) {
-  size_t off = 0;
-  Status s;
-  if (s = Consume(mbuf, &off, &meta->version); !s.ok()) return s;
+  const Status truncated = Status::Corruption("truncated checkpoint metadata");
+  PodReader r(mbuf);
   uint8_t is_delta = 0;
-  if (s = Consume(mbuf, &off, &is_delta); !s.ok()) return s;
-  meta->is_delta = is_delta != 0;
-  if (s = Consume(mbuf, &off, &meta->data_bytes); !s.ok()) return s;
   uint64_t num_tables = 0;
-  if (s = Consume(mbuf, &off, &num_tables); !s.ok()) return s;
+  if (!r.Pod(&meta->version) || !r.Pod(&is_delta) ||
+      !r.Pod(&meta->data_bytes) || !r.Pod(&num_tables)) {
+    return truncated;
+  }
+  meta->is_delta = is_delta != 0;
   meta->table_schemas.clear();
   for (uint64_t i = 0; i < num_tables; ++i) {
     uint64_t rows = 0;
     uint32_t vsize = 0;
-    if (s = Consume(mbuf, &off, &rows); !s.ok()) return s;
-    if (s = Consume(mbuf, &off, &vsize); !s.ok()) return s;
+    if (!r.Pod(&rows) || !r.Pod(&vsize)) return truncated;
     meta->table_schemas.emplace_back(rows, vsize);
   }
   uint64_t num_points = 0;
-  if (s = Consume(mbuf, &off, &num_points); !s.ok()) return s;
+  if (!r.Pod(&num_points)) return truncated;
   meta->points.clear();
   for (uint64_t i = 0; i < num_points; ++i) {
     CommitPoint p;
-    if (s = Consume(mbuf, &off, &p.thread_id); !s.ok()) return s;
-    if (s = Consume(mbuf, &off, &p.serial); !s.ok()) return s;
-    if (s = Consume(mbuf, &off, &p.guid); !s.ok()) return s;
+    if (!r.Pod(&p.thread_id) || !r.Pod(&p.serial) || !r.Pod(&p.guid)) {
+      return truncated;
+    }
     meta->points.push_back(p);
   }
   return Status::Ok();
 }
 
-// Parses "v<digits>.<ext>" into the version number.
-bool ParseVersionFile(const std::string& name, const char* ext, uint64_t* v) {
-  if (name.size() < 2 || name[0] != 'v') return false;
-  size_t i = 1;
-  uint64_t value = 0;
-  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-    value = value * 10 + (name[i] - '0');
-    ++i;
-  }
-  if (i == 1) return false;
-  if (name.compare(i, std::string::npos, ext) != 0) return false;
-  *v = value;
-  return value != 0;
-}
-
-// All versions that have an on-disk meta file, descending.
-Status ListMetaVersions(const std::string& dir, std::vector<uint64_t>* out) {
-  out->clear();
-  std::vector<std::string> names;
-  Status s = ListDirectory(dir, &names);
+// Applies generation `version` to `storage`, first walking its delta chain
+// back to the full base and replaying base → `version`. Only touches
+// `storage` once every meta of the chain verified; a failure while applying
+// is retry-safe because every chain replays from a full base that
+// overwrites all rows.
+Status ApplyGeneration(const std::string& dir, uint64_t version,
+                       Storage& storage, CheckpointMeta* meta) {
+  Status s = ReadCheckpointMeta(dir, version, meta);
   if (!s.ok()) return s;
-  for (const std::string& name : names) {
-    uint64_t v = 0;
-    if (ParseVersionFile(name, ".meta", &v)) out->push_back(v);
+  std::vector<uint64_t> chain;  // versions, newest first
+  CheckpointMeta walk = *meta;
+  while (walk.is_delta) {
+    chain.push_back(walk.version);
+    if (walk.version <= 1) {
+      return Status::Corruption("delta chain broken at v" +
+                                std::to_string(walk.version));
+    }
+    s = ReadCheckpointMeta(dir, walk.version - 1, &walk);
+    if (!s.ok()) return s;
   }
-  std::sort(out->begin(), out->end(), std::greater<uint64_t>());
+  chain.push_back(walk.version);  // the full base
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    CheckpointMeta m;
+    std::vector<char> d;
+    s = ReadCheckpointAt(dir, *it, &m, &d);
+    if (s.ok()) s = ApplyCheckpointData(storage, m, d);
+    if (!s.ok()) return s;
+  }
   return Status::Ok();
 }
 
 }  // namespace
+
+GenerationChain CheckpointChain(const std::string& dir) {
+  return GenerationChain(dir, "v", ".meta", LatestForm::kNumber);
+}
 
 Status WriteCheckpoint(const std::string& dir, const CheckpointMeta& meta,
                        const std::vector<char>& data, bool sync) {
   Status s = CreateDirectories(dir);
   if (!s.ok()) return s;
 
-  s = WriteCheckedBlob(DataPath(dir, meta.version), kDataMagic, data, sync);
+  s = WriteCheckedBlob(DataChain(dir).Path(meta.version), kDataMagic, data,
+                       sync);
   if (!s.ok()) return s;
 
   std::vector<char> mbuf;
-  Append(mbuf, meta.version);
-  Append(mbuf, static_cast<uint8_t>(meta.is_delta ? 1 : 0));
-  Append(mbuf, static_cast<uint64_t>(data.size()));
-  Append(mbuf, static_cast<uint64_t>(meta.table_schemas.size()));
+  PutPod(&mbuf, meta.version);
+  PutPod(&mbuf, static_cast<uint8_t>(meta.is_delta ? 1 : 0));
+  PutPod(&mbuf, static_cast<uint64_t>(data.size()));
+  PutPod(&mbuf, static_cast<uint64_t>(meta.table_schemas.size()));
   for (const auto& [rows, vsize] : meta.table_schemas) {
-    Append(mbuf, rows);
-    Append(mbuf, vsize);
+    PutPod(&mbuf, rows);
+    PutPod(&mbuf, vsize);
   }
-  Append(mbuf, static_cast<uint64_t>(meta.points.size()));
+  PutPod(&mbuf, static_cast<uint64_t>(meta.points.size()));
   for (const CommitPoint& p : meta.points) {
-    Append(mbuf, p.thread_id);
-    Append(mbuf, p.serial);
-    Append(mbuf, p.guid);
+    PutPod(&mbuf, p.thread_id);
+    PutPod(&mbuf, p.serial);
+    PutPod(&mbuf, p.guid);
   }
-  s = WriteCheckedBlob(MetaPath(dir, meta.version), kMetaMagic, mbuf, sync);
+  const GenerationChain chain = CheckpointChain(dir);
+  s = WriteCheckedBlob(chain.Path(meta.version), kMetaMagic, mbuf, sync);
   if (!s.ok()) return s;
-
-  return PublishLatest(dir, std::to_string(meta.version), sync);
-}
-
-Status WriteCheckpointWithRetry(const std::string& dir,
-                                const CheckpointMeta& meta,
-                                const std::vector<char>& data, bool sync,
-                                uint32_t attempts, uint32_t backoff_ms) {
-  if (attempts == 0) attempts = 1;
-  Status s;
-  uint64_t delay = backoff_ms;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      delay = std::min<uint64_t>(delay * 2, 1000);
-    }
-    s = WriteCheckpoint(dir, meta, data, sync);
-    if (s.ok()) return s;
-  }
-  return s;
+  return chain.Publish(meta.version, sync);
 }
 
 Status ReadCheckpointMeta(const std::string& dir, uint64_t version,
                           CheckpointMeta* meta) {
   std::vector<char> mbuf;
-  Status s = ReadCheckedBlob(MetaPath(dir, version), kMetaMagic, &mbuf);
+  Status s =
+      ReadCheckedBlob(CheckpointChain(dir).Path(version), kMetaMagic, &mbuf);
   if (!s.ok()) return s;
   s = DecodeMetaPayload(mbuf, meta);
   if (!s.ok()) return s;
@@ -165,7 +133,7 @@ Status ReadCheckpointAt(const std::string& dir, uint64_t version,
                         CheckpointMeta* meta, std::vector<char>* data) {
   Status s = ReadCheckpointMeta(dir, version, meta);
   if (!s.ok()) return s;
-  s = ReadCheckedBlob(DataPath(dir, version), kDataMagic, data);
+  s = ReadCheckedBlob(DataChain(dir).Path(version), kDataMagic, data);
   if (!s.ok()) return s;
   if (data->size() != meta->data_bytes) {
     return Status::Corruption("checkpoint data size mismatch");
@@ -173,56 +141,22 @@ Status ReadCheckpointAt(const std::string& dir, uint64_t version,
   return Status::Ok();
 }
 
-Status ListRecoveryCandidates(const std::string& dir,
-                              std::vector<uint64_t>* versions) {
-  versions->clear();
-  uint64_t hint = 0;
-  std::string text;
-  if (ReadLatestValue(dir, &text).ok()) {
-    hint = std::strtoull(text.c_str(), nullptr, 10);
-  }
-  std::vector<uint64_t> on_disk;
-  Status s = ListMetaVersions(dir, &on_disk);
-  if (!s.ok()) return s;
-  if (hint != 0) versions->push_back(hint);
-  for (uint64_t v : on_disk) {
-    if (v != hint) versions->push_back(v);
-  }
-  return Status::Ok();
-}
-
-Status ReadLatestCheckpoint(const std::string& dir, CheckpointMeta* meta,
-                            std::vector<char>* data) {
-  std::vector<uint64_t> candidates;
-  Status s = ListRecoveryCandidates(dir, &candidates);
-  if (!s.ok()) return s;
-  if (candidates.empty()) {
-    return Status::NotFound("no checkpoint published in " + dir);
-  }
-  Status last = Status::Corruption("no valid checkpoint generation in " + dir);
-  for (uint64_t v : candidates) {
-    s = ReadCheckpointAt(dir, v, meta, data);
-    if (s.ok()) return s;
-    last = s;
-  }
-  return Status::Corruption("no valid checkpoint generation in " + dir +
-                            " (last error: " + last.message() + ")");
+Status RecoverCheckpoint(const std::string& dir, Storage& storage,
+                         CheckpointMeta* meta) {
+  return CheckpointChain(dir).Walk([&](uint64_t version) {
+    return ApplyGeneration(dir, version, storage, meta);
+  });
 }
 
 Status RetainCheckpoints(const std::string& dir, uint32_t retain) {
   if (retain == 0) return Status::Ok();
-  std::vector<uint64_t> versions;
-  Status s = ListMetaVersions(dir, &versions);
-  if (!s.ok()) return s;
-
+  const GenerationChain metas = CheckpointChain(dir);
+  const std::vector<uint64_t> versions = metas.List();
   std::set<uint64_t> keep;
-  uint32_t generations = 0;
-  for (uint64_t v : versions) {
-    if (generations >= retain) break;
-    ++generations;
-    keep.insert(v);
+  for (size_t i = 0; i < versions.size() && i < retain; ++i) {
+    keep.insert(versions[i]);
     // A retained delta generation needs its whole chain down to a full base.
-    uint64_t w = v;
+    uint64_t w = versions[i];
     while (w > 1) {
       CheckpointMeta m;
       if (!ReadCheckpointMeta(dir, w, &m).ok()) break;  // conservative stop
@@ -231,18 +165,9 @@ Status RetainCheckpoints(const std::string& dir, uint32_t retain) {
       keep.insert(w);
     }
   }
-
-  std::vector<std::string> names;
-  s = ListDirectory(dir, &names);
-  if (!s.ok()) return s;
-  for (const std::string& name : names) {
-    uint64_t v = 0;
-    const bool is_meta = ParseVersionFile(name, ".meta", &v);
-    const bool is_data = !is_meta && ParseVersionFile(name, ".data", &v);
-    if (!is_meta && !is_data) continue;
-    if (keep.count(v) != 0) continue;
-    RemoveFileIfExists(dir + "/" + name);  // best-effort
-  }
+  // Best-effort: a failed delete leaves an extra generation behind.
+  metas.Prune(keep);
+  DataChain(dir).Prune(keep);
   return Status::Ok();
 }
 
@@ -258,41 +183,35 @@ Status ApplyCheckpointData(Storage& storage, const CheckpointMeta& meta,
       return Status::Corruption("checkpoint schema mismatch (table shape)");
     }
   }
-  size_t off = 0;
+  PodReader r(data);
+  const char* src = nullptr;
   if (!meta.is_delta) {
     for (uint32_t t = 0; t < storage.num_tables(); ++t) {
       Table& table = storage.table(t);
       const uint32_t vsize = table.value_size();
       for (uint64_t row = 0; row < table.rows(); ++row) {
-        if (off + vsize > data.size()) {
+        if (!r.Skip(vsize, &src)) {
           return Status::Corruption("full checkpoint data truncated");
         }
-        std::memcpy(table.live(row), data.data() + off, vsize);
-        off += vsize;
+        std::memcpy(table.live(row), src, vsize);
       }
     }
     return Status::Ok();
   }
-  while (off < data.size()) {
+  while (!r.AtEnd()) {
     uint32_t t = 0;
     uint64_t row = 0;
-    if (off + kDeltaEntryHeaderBytes > data.size()) {
+    if (!r.Pod(&t) || !r.Pod(&row)) {
       return Status::Corruption("delta entry header truncated");
     }
-    std::memcpy(&t, data.data() + off, sizeof(t));
-    off += sizeof(t);
-    std::memcpy(&row, data.data() + off, sizeof(row));
-    off += sizeof(row);
     if (t >= storage.num_tables() || row >= storage.table(t).rows()) {
       return Status::Corruption("delta entry out of range");
     }
     Table& table = storage.table(t);
-    const uint32_t vsize = table.value_size();
-    if (off + vsize > data.size()) {
+    if (!r.Skip(table.value_size(), &src)) {
       return Status::Corruption("delta entry value truncated");
     }
-    std::memcpy(table.live(row), data.data() + off, vsize);
-    off += vsize;
+    std::memcpy(table.live(row), src, table.value_size());
   }
   return Status::Ok();
 }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "io/generations.h"
 #include "txdb/table.h"
 #include "txdb/types.h"
 #include "util/status.h"
@@ -20,7 +21,7 @@ namespace cpr::txdb {
 //                           version, is_delta, data_bytes, table schemas,
 //                           commit points
 //   <dir>/LATEST            textual version number, published durably via
-//                           tmp+rename+parent-fsync (io/blob.h PublishLatest)
+//                           tmp+rename+parent-fsync (io/generations.h)
 //
 // Both blobs carry magic/version headers and CRC32C checksums, so recovery
 // can detect a torn or bit-flipped generation and walk back to the newest
@@ -37,24 +38,20 @@ struct CheckpointMeta {
   std::vector<CommitPoint> points;
 };
 
+// The chain of v<version>.meta files in `dir` (LATEST holds the number).
+GenerationChain CheckpointChain(const std::string& dir);
+
 // Writes `data` (the captured snapshot) and metadata, then publishes LATEST.
 Status WriteCheckpoint(const std::string& dir, const CheckpointMeta& meta,
                        const std::vector<char>& data, bool sync);
 
-// WriteCheckpoint with up to `attempts` tries and bounded exponential
-// backoff (backoff_ms, 2*backoff_ms, ... capped at 1s) between failures.
-// Returns the last failure if every attempt fails.
-Status WriteCheckpointWithRetry(const std::string& dir,
-                                const CheckpointMeta& meta,
-                                const std::vector<char>& data, bool sync,
-                                uint32_t attempts, uint32_t backoff_ms);
-
-// Reads the newest *valid* checkpoint in `dir`: tries the LATEST hint first,
-// then every on-disk generation newest-first, skipping corrupt ones.
-// Returns NotFound if none was ever published, kCorruption if generations
-// exist but none verifies.
-Status ReadLatestCheckpoint(const std::string& dir, CheckpointMeta* meta,
-                            std::vector<char>* data);
+// The recovery walk of the CPR and CALC engines: applies to `storage` the
+// first generation, in the chain's recovery order, whose delta chain reads,
+// verifies and applies from its full base up (a CALC generation is a chain
+// of length one), and returns that generation's metadata. Walk rule and
+// error codes as GenerationChain::Walk.
+Status RecoverCheckpoint(const std::string& dir, Storage& storage,
+                         CheckpointMeta* meta);
 
 // Reads a specific checkpoint version (used to walk a delta chain back to
 // its full base). Verifies both blobs' checksums.
@@ -65,12 +62,6 @@ Status ReadCheckpointAt(const std::string& dir, uint64_t version,
 // and retention decisions).
 Status ReadCheckpointMeta(const std::string& dir, uint64_t version,
                           CheckpointMeta* meta);
-
-// Recovery candidate versions in the order they should be attempted: the
-// LATEST hint (if readable) first, then every version with an on-disk meta
-// file, newest first, deduplicated. Missing directory → empty list.
-Status ListRecoveryCandidates(const std::string& dir,
-                              std::vector<uint64_t>* versions);
 
 // Deletes checkpoint generations beyond the newest `retain`, preserving any
 // older version a retained delta chain still needs to reach its full base.

@@ -2,8 +2,10 @@
 
 #include <cstring>
 
+#include "io/retry.h"
 #include "obs/trace.h"
 #include "txdb/checkpoint_io.h"
+#include "util/pod.h"
 
 namespace cpr::txdb {
 
@@ -218,10 +220,8 @@ void CprEngine::CaptureAndPersist(uint64_t v) {
       const bool dirty = h.dirty.load(std::memory_order_relaxed) != 0;
       if (!delta || dirty) {
         if (delta) {
-          const char* tp = reinterpret_cast<const char*>(&t);
-          data.insert(data.end(), tp, tp + sizeof(t));
-          const char* rp = reinterpret_cast<const char*>(&row);
-          data.insert(data.end(), rp, rp + sizeof(row));
+          PutPod(&data, t);
+          PutPod(&data, row);
         }
         const char* src = bumped
                               ? static_cast<const char*>(table.stable(row))
@@ -237,9 +237,11 @@ void CprEngine::CaptureAndPersist(uint64_t v) {
   }
 
   const TransactionalDb::Options& opts = db_.options();
-  const Status s = WriteCheckpointWithRetry(
-      opts.durability_dir, meta, data, opts.sync_to_disk,
-      opts.checkpoint_retry_attempts, opts.checkpoint_retry_backoff_ms);
+  const Status s = RetryWithBackoff(
+      opts.checkpoint_retry_attempts, opts.checkpoint_retry_backoff_ms, [&] {
+        return WriteCheckpoint(opts.durability_dir, meta, data,
+                               opts.sync_to_disk);
+      });
   if (s.ok()) {
     RetainCheckpoints(opts.durability_dir, opts.retain_checkpoints);
   }
@@ -325,77 +327,19 @@ uint64_t CprEngine::CurrentVersion() const {
 }
 
 Status CprEngine::Recover(std::vector<CommitPoint>* points) {
-  const std::string& dir = db_.options().durability_dir;
-  std::vector<uint64_t> candidates;
-  Status s = ListRecoveryCandidates(dir, &candidates);
+  CheckpointMeta meta;
+  const Status s = RecoverCheckpoint(db_.options().durability_dir,
+                                     db_.storage(), &meta);
   if (!s.ok()) return s;
-  if (candidates.empty()) {
-    return Status::NotFound("no checkpoint published in " + dir);
+  state_.store(Pack(DbPhase::kRest, meta.version + 1),
+               std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_durable_version_ = meta.version;
+    last_finished_version_ = meta.version;
   }
-
-  Storage& storage = db_.storage();
-  // Try each generation newest-first: a candidate only commits to recovered
-  // state if its entire delta chain reads and verifies. A failed attempt is
-  // retry-safe because every chain replays from a full base that overwrites
-  // all rows.
-  Status last = Status::Corruption("no valid checkpoint generation in " + dir);
-  for (uint64_t candidate : candidates) {
-    CheckpointMeta meta;
-    std::vector<char> data;
-    s = ReadCheckpointAt(dir, candidate, &meta, &data);
-    if (!s.ok()) {
-      last = s;
-      continue;
-    }
-    // Walk any delta chain back to its full base.
-    std::vector<uint64_t> chain;  // versions, newest first
-    CheckpointMeta walk = meta;
-    bool chain_ok = true;
-    while (walk.is_delta) {
-      chain.push_back(walk.version);
-      if (walk.version <= 1) {
-        last = Status::Corruption("delta chain broken at v" +
-                                  std::to_string(walk.version));
-        chain_ok = false;
-        break;
-      }
-      s = ReadCheckpointMeta(dir, walk.version - 1, &walk);
-      if (!s.ok()) {
-        last = s;
-        chain_ok = false;
-        break;
-      }
-    }
-    if (!chain_ok) continue;
-    chain.push_back(walk.version);  // the full base
-
-    bool applied = true;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      CheckpointMeta m;
-      std::vector<char> d;
-      s = ReadCheckpointAt(dir, *it, &m, &d);
-      if (s.ok()) s = ApplyCheckpointData(storage, m, d);
-      if (!s.ok()) {
-        last = s;
-        applied = false;
-        break;
-      }
-    }
-    if (!applied) continue;
-
-    state_.store(Pack(DbPhase::kRest, meta.version + 1),
-                 std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_durable_version_ = meta.version;
-      last_finished_version_ = meta.version;
-    }
-    *points = meta.points;
-    return Status::Ok();
-  }
-  if (last.code() != Status::Code::kCorruption) return last;
-  return Status::Corruption("no valid checkpoint generation in " + dir +
-                            " (last error: " + last.message() + ")");
+  *points = meta.points;
+  return Status::Ok();
 }
 
 }  // namespace cpr::txdb

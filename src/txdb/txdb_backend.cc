@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "io/retry.h"
 #include "obs/metrics.h"
 #include "txdb/checkpoint_io.h"
 #include "util/clock.h"
@@ -284,9 +285,10 @@ Status TxDbBackend::WriteBoundaryCheckpoint(uint64_t* version_out) {
                     ctx->serial.load(std::memory_order_acquire), ctx->guid});
   }
   const TransactionalDb::Options& o = db_.options();
-  const Status s = WriteCheckpointWithRetry(
-      o.durability_dir, meta, data, o.sync_to_disk, o.checkpoint_retry_attempts,
-      o.checkpoint_retry_backoff_ms);
+  const Status s = RetryWithBackoff(
+      o.checkpoint_retry_attempts, o.checkpoint_retry_backoff_ms, [&] {
+        return WriteCheckpoint(o.durability_dir, meta, data, o.sync_to_disk);
+      });
   if (!s.ok()) return s;
   // The image is durable: its points are durable commit points now, exactly
   // as if an engine commit had delivered them.
@@ -804,19 +806,17 @@ Status TxDbBackend::RecoverWal(const durability::ProviderManifest& m) {
   // the log is truncated — a crash between the two recovers new-base +
   // old-log, which is idempotent (every log record is already in the base).
   uint64_t new_base = m.base_version + 1;
-  std::vector<uint64_t> candidates;
-  if (ListRecoveryCandidates(dir, &candidates).ok()) {
-    for (uint64_t v : candidates) new_base = std::max(new_base, v + 1);
-  }
+  const std::vector<uint64_t> versions = CheckpointChain(dir).List();
+  if (!versions.empty()) new_base = std::max(new_base, versions.front() + 1);
   CheckpointMeta meta;
   meta.version = new_base;
   meta.is_delta = false;
   std::vector<char> data;
   CaptureFullImage(&meta, &data);
   meta.points = merged;
-  Status s = WriteCheckpointWithRetry(dir, meta, data, o.sync_to_disk,
-                                      o.checkpoint_retry_attempts,
-                                      o.checkpoint_retry_backoff_ms);
+  Status s = RetryWithBackoff(
+      o.checkpoint_retry_attempts, o.checkpoint_retry_backoff_ms,
+      [&] { return WriteCheckpoint(dir, meta, data, o.sync_to_disk); });
   if (!s.ok()) return s;
   const durability::ProviderManifest next{
       m.generation + 1, durability::ProviderKind::kWal, new_base};

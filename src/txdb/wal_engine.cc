@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cstring>
 
+#include "io/retry.h"
 #include "util/crc32c.h"
+#include "util/pod.h"
 
 namespace cpr::txdb {
 
@@ -233,24 +235,17 @@ uint64_t WalEngine::FlushNow() {
   const uint64_t len = upto - from;
   const uint64_t pos = from & mask_;
   const uint64_t first = std::min(len, capacity_ - pos);
-  // Bounded retry with exponential backoff: a transient device error must
-  // not silently drop a log region.
-  const uint32_t attempts =
-      std::max<uint32_t>(1, db_.options().checkpoint_retry_attempts);
-  uint64_t delay = db_.options().checkpoint_retry_backoff_ms;
-  Status s;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      delay = std::min<uint64_t>(delay * 2, 1000);
-    }
-    s = log_file_.WriteAt(from, ring_.get() + pos, first);
-    if (s.ok() && first < len) {
-      s = log_file_.WriteAt(from + first, ring_.get(), len - first);
-    }
-    if (s.ok() && db_.options().sync_to_disk) s = log_file_.Sync();
-    if (s.ok()) break;
-  }
+  // A transient device error must not silently drop a log region.
+  const Status s = RetryWithBackoff(
+      db_.options().checkpoint_retry_attempts,
+      db_.options().checkpoint_retry_backoff_ms, [&] {
+        Status w = log_file_.WriteAt(from, ring_.get() + pos, first);
+        if (w.ok() && first < len) {
+          w = log_file_.WriteAt(from + first, ring_.get(), len - first);
+        }
+        if (w.ok() && db_.options().sync_to_disk) w = log_file_.Sync();
+        return w;
+      });
   if (!s.ok()) {
     // Degrade: record the failure (sticky) so commit waiters get an explicit
     // error. The ring still advances — the engine stays available for
@@ -296,44 +291,41 @@ Status WalEngine::Recover(std::vector<CommitPoint>* points) {
 
   Storage& storage = db_.storage();
   std::vector<CommitPoint> last_serial;
-  uint64_t off = 0;
-  uint64_t replayed = 0;
-  while (off + 2 * sizeof(uint32_t) <= size) {
+  PodReader log(buf);
+  uint64_t off = 0;  // end of the valid prefix
+  const Status truncated = Status::Corruption("WAL record truncated");
+  for (;;) {
     uint32_t payload = 0;
     uint32_t crc = 0;
-    std::memcpy(&payload, buf.data() + off, sizeof(payload));
-    std::memcpy(&crc, buf.data() + off + sizeof(payload), sizeof(crc));
-    if (payload == 0 || off + 2 * sizeof(uint32_t) + payload > size) break;
+    const char* body = nullptr;
+    if (!log.Pod(&payload) || !log.Pod(&crc) || payload == 0 ||
+        !log.Skip(payload, &body)) {
+      break;
+    }
     // A checksum mismatch marks the end of the valid durable prefix (torn
     // group-commit flush or bit rot); nothing past it is trusted.
-    if (Crc32c(buf.data() + off + 2 * sizeof(uint32_t), payload) != crc) break;
-    uint64_t r = off + 2 * sizeof(uint32_t);
+    if (Crc32c(body, payload) != crc) break;
+    PodReader r(body, payload);
     uint32_t thread_id = 0;
     uint64_t serial = 0;
     uint64_t guid = 0;
     uint32_t num_writes = 0;
-    std::memcpy(&thread_id, buf.data() + r, sizeof(thread_id));
-    r += sizeof(thread_id);
-    std::memcpy(&serial, buf.data() + r, sizeof(serial));
-    r += sizeof(serial);
-    std::memcpy(&guid, buf.data() + r, sizeof(guid));
-    r += sizeof(guid);
-    std::memcpy(&num_writes, buf.data() + r, sizeof(num_writes));
-    r += sizeof(num_writes);
+    if (!r.Pod(&thread_id) || !r.Pod(&serial) || !r.Pod(&guid) ||
+        !r.Pod(&num_writes)) {
+      return truncated;
+    }
     for (uint32_t i = 0; i < num_writes; ++i) {
       uint32_t table_id = 0;
       uint64_t row = 0;
-      std::memcpy(&table_id, buf.data() + r, sizeof(table_id));
-      r += sizeof(table_id);
-      std::memcpy(&row, buf.data() + r, sizeof(row));
-      r += sizeof(row);
+      if (!r.Pod(&table_id) || !r.Pod(&row)) return truncated;
       if (table_id >= storage.num_tables()) {
         return Status::Corruption("WAL references unknown table");
       }
       Table& table = storage.table(table_id);
       if (row >= table.rows()) return Status::Corruption("WAL row OOB");
-      std::memcpy(table.live(row), buf.data() + r, table.value_size());
-      r += table.value_size();
+      const char* value = nullptr;
+      if (!r.Skip(table.value_size(), &value)) return truncated;
+      std::memcpy(table.live(row), value, table.value_size());
     }
     // Track the highest serial per thread for the recovered points. Records
     // carry the session guid, so a post-crash WAL recovery hands each
@@ -353,8 +345,7 @@ Status WalEngine::Recover(std::vector<CommitPoint>* points) {
     if (!found) {
       last_serial.push_back(CommitPoint{thread_id, serial + 1, guid});
     }
-    off += 2 * sizeof(uint32_t) + payload;
-    ++replayed;
+    off = log.pos();
   }
   *points = last_serial;
   // Continue appending after the replayed prefix.

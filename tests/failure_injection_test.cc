@@ -5,13 +5,19 @@
 
 #include "test_dirs.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "faster/faster.h"
+#include "io/blob.h"
 #include "io/file.h"
 #include "txdb/db.h"
+#include "util/crc32c.h"
 
 namespace cpr {
 namespace {
@@ -134,6 +140,38 @@ TEST(WalInjectionTest, TrailingGarbageReplaysValidPrefix) {
   EXPECT_EQ(value, 20);
 }
 
+TEST(WalInjectionTest, ChecksummedButShortRecordIsCorruption) {
+  // A record whose checksum verifies but whose body ends inside its own
+  // header is a format error, not a torn tail: replay must refuse it
+  // without reading past the record.
+  const std::string dir = FreshDir();
+  {
+    txdb::TransactionalDb db(TxdbOpts(txdb::DurabilityMode::kWal, dir));
+    const uint32_t t = db.CreateTable(8, 8);
+    txdb::ThreadContext* ctx = db.RegisterThread();
+    txdb::Transaction txn;
+    txn.ops.push_back(txdb::TxnOp{t, txdb::OpType::kAdd, 3, nullptr, 2});
+    db.Execute(*ctx, txn);
+    db.DeregisterThread(ctx);
+    db.WaitForCommit(db.RequestCommit());
+  }
+  {
+    File f;
+    ASSERT_TRUE(File::Open(dir + "/wal.log", /*create=*/false, &f).ok());
+    const uint32_t thread_id = 0;  // the body stops after its first field
+    const uint32_t size = sizeof(thread_id);
+    const uint32_t crc = Crc32c(&thread_id, sizeof(thread_id));
+    char record[3 * sizeof(uint32_t)];
+    std::memcpy(record, &size, 4);
+    std::memcpy(record + 4, &crc, 4);
+    std::memcpy(record + 8, &thread_id, 4);
+    ASSERT_TRUE(f.WriteAt(f.Size(), record, sizeof(record)).ok());
+  }
+  txdb::TransactionalDb db(TxdbOpts(txdb::DurabilityMode::kWal, dir));
+  db.CreateTable(8, 8);
+  EXPECT_EQ(db.Recover().code(), Status::Code::kCorruption);
+}
+
 // -- FASTER -------------------------------------------------------------------
 
 faster::FasterKv::Options KvOpts(const std::string& dir) {
@@ -219,6 +257,92 @@ TEST(FasterInjectionTest, StaleLatestPointsToIntactOlderCommit) {
   int64_t out = 0;
   ASSERT_EQ(kv.Read(*s, 7, &out), faster::OpStatus::kOk);
   EXPECT_EQ(out, 1) << "must recover the first commit's value";
+  kv.StopSession(s);
+}
+
+TEST(FasterInjectionTest, NewTokensOrderAfterGenerationsFromAnotherBoot) {
+  // A store recovered from generations numbered far above anything this
+  // process would issue (written before a reboot, or on a host with longer
+  // uptime, when tokens came from a boot-relative clock) must still number
+  // its next generation after them. Otherwise WaitForCheckpoint returns
+  // before the commit ends, GC deletes the new generation as the oldest,
+  // and recovery goes back to the pre-restart value.
+  const std::string dir = FreshDir();
+  {
+    faster::FasterKv kv(KvOpts(dir));
+    faster::Session* s = kv.StartSession();
+    for (int64_t v = 1; v <= 3; ++v) {
+      kv.Upsert(*s, 7, &v);
+      ASSERT_TRUE(kv.Checkpoint(faster::CommitVariant::kFoldOver, true));
+      while (kv.CheckpointInProgress()) kv.Refresh(*s);
+    }
+    kv.StopSession(s);
+  }
+  // Renumber every generation 2^60 up. The meta payload starts with its
+  // token; the magic is read from the blob header.
+  constexpr uint64_t kShift = 1ull << 60;
+  std::vector<std::string> names;
+  ASSERT_TRUE(ListDirectory(dir, &names).ok());
+  uint64_t newest = 0;
+  for (const std::string& name : names) {
+    const size_t suffix = name.size() - std::string(".meta").size();
+    if (name.rfind("ckpt.", 0) != 0 || name.size() <= 10 ||
+        name.compare(suffix, std::string::npos, ".meta") != 0) {
+      continue;
+    }
+    const std::string path = dir + "/" + name;
+    uint64_t magic = 0;
+    {
+      File f;
+      ASSERT_TRUE(File::Open(path, /*create=*/false, &f).ok());
+      ASSERT_TRUE(f.ReadAt(0, &magic, sizeof(magic)).ok());
+    }
+    std::vector<char> payload;
+    ASSERT_TRUE(ReadCheckedBlob(path, magic, &payload).ok());
+    const uint64_t token = std::stoull(name.substr(5, suffix - 5)) + kShift;
+    std::memcpy(payload.data(), &token, sizeof(token));
+    ASSERT_TRUE(WriteCheckedBlob(dir + "/ckpt." + std::to_string(token) +
+                                     ".meta",
+                                 magic, payload, /*sync=*/false)
+                    .ok());
+    ASSERT_TRUE(RemoveFileIfExists(path).ok());
+    newest = std::max(newest, token);
+  }
+  ASSERT_NE(newest, 0u);
+  const std::string latest = std::to_string(newest);
+  WriteGarbage(dir + "/LATEST", latest.data(), latest.size());
+
+  {
+    faster::FasterKv kv(KvOpts(dir));
+    ASSERT_TRUE(kv.Recover().ok());
+    faster::Session* s = kv.StartSession();
+    const int64_t v = 42;
+    kv.Upsert(*s, 7, &v);
+    kv.StopSession(s);
+    uint64_t token = 0;
+    ASSERT_TRUE(kv.Checkpoint(faster::CommitVariant::kFoldOver, false,
+                              nullptr, &token));
+    EXPECT_GT(token, newest);
+    const Status waited = kv.WaitForCheckpoint(token);
+    const bool returned_early = kv.CheckpointInProgress();
+    // Drive the commit to its end either way so the store shuts down cleanly.
+    while (kv.CheckpointInProgress()) {
+      kv.epoch().TickUnprotected();
+      kv.TickStateMachine();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(waited.ok());
+    EXPECT_FALSE(returned_early)
+        << "WaitForCheckpoint returned while the commit was in progress";
+    EXPECT_TRUE(FileExists(dir + "/ckpt." + std::to_string(token) + ".meta"))
+        << "checkpoint GC deleted the newest generation";
+  }
+  faster::FasterKv kv(KvOpts(dir));
+  ASSERT_TRUE(kv.Recover().ok());
+  faster::Session* s = kv.StartSession();
+  int64_t out = 0;
+  ASSERT_EQ(kv.Read(*s, 7, &out), faster::OpStatus::kOk);
+  EXPECT_EQ(out, 42) << "recovery must load the post-restart commit";
   kv.StopSession(s);
 }
 

@@ -3,11 +3,14 @@
 #include "test_dirs.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "io/fault_injection.h"
 #include "io/file.h"
+#include "io/generations.h"
 #include "io/io_pool.h"
 
 namespace cpr {
@@ -145,6 +148,186 @@ TEST(IoPoolTest, ParallelFileWritesLand) {
         f.ReadAt(static_cast<uint64_t>(i) * 128, chunk.data(), 128).ok());
     for (char c : chunk) EXPECT_EQ(c, static_cast<char>(i));
   }
+}
+
+// -- GenerationChain ----------------------------------------------------------
+
+void Touch(const std::string& path, const std::string& text = "x") {
+  File f;
+  ASSERT_TRUE(File::Open(path, /*create=*/true, &f).ok());
+  ASSERT_TRUE(f.WriteAt(0, text.data(), text.size()).ok());
+}
+
+TEST(GenerationChainTest, ParseAcceptsOnlyTheChainsOwnNames) {
+  const GenerationChain chain("/unused", "ckpt.", ".meta");
+  struct Case {
+    const char* name;
+    bool ok;
+    uint64_t gen;
+  };
+  const Case cases[] = {
+      {"ckpt.1.meta", true, 1},
+      {"ckpt.0.meta", true, 0},
+      {"ckpt.18446744073709551615.meta", true, UINT64_MAX},
+      {"ckpt.18446744073709551616.meta", false, 0},  // 2^64 overflows
+      {"ckpt.99999999999999999999999.meta", false, 0},
+      {"ckpt..meta", false, 0},  // no digits
+      {"ckpt.meta", false, 0},
+      {"ckpt.1x.meta", false, 0},
+      {"ckpt.-1.meta", false, 0},
+      {"ckpt.01.meta", false, 0},  // not the name of generation 1
+      {"ckpt.1.snap", false, 0},
+      {"index.1.meta", false, 0},
+      {"ckpt.1.meta.tmp", false, 0},
+      {"LATEST", false, 0},
+  };
+  for (const Case& c : cases) {
+    uint64_t gen = 0;
+    EXPECT_EQ(chain.Parse(c.name, &gen), c.ok) << c.name;
+    if (c.ok) {
+      EXPECT_EQ(gen, c.gen) << c.name;
+      EXPECT_EQ(chain.Name(gen), c.name);
+    }
+  }
+}
+
+TEST(GenerationChainTest, RecoveryOrderPutsThePublishedGenerationFirst) {
+  struct Case {
+    const char* what;
+    LatestForm form;
+    std::vector<std::string> files;
+    const char* latest;  // nullptr: no LATEST file
+    std::vector<uint64_t> want;
+  };
+  const std::vector<std::string> three = {"g.2.meta", "g.10.meta",
+                                          "g.7.meta"};
+  const Case cases[] = {
+      {"empty directory", LatestForm::kNumber, {}, nullptr, {}},
+      {"foreign and overflowing names are ignored",
+       LatestForm::kNumber,
+       {"g.3.meta", "g.x.meta", "g.99999999999999999999.meta", "g.5.snap",
+        "h.4.meta", "g.6.meta.tmp"},
+       nullptr,
+       {3}},
+      {"newest first", LatestForm::kNumber, three, nullptr, {10, 7, 2}},
+      {"LATEST first", LatestForm::kNumber, three, "7", {7, 10, 2}},
+      {"LATEST with a newline", LatestForm::kNumber, three, "2\n", {2, 10, 7}},
+      {"garbage LATEST is ignored", LatestForm::kNumber, three, "xyzzy",
+       {10, 7, 2}},
+      {"LATEST naming a missing generation is ignored", LatestForm::kNumber,
+       three, "8", {10, 7, 2}},
+      {"name-form LATEST", LatestForm::kName, three, "g.7.meta", {7, 10, 2}},
+      {"a number in a name-form LATEST is ignored", LatestForm::kName, three,
+       "7", {10, 7, 2}},
+      {"a chain without LATEST never reads one", LatestForm::kNone, three,
+       "7", {10, 7, 2}},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = TempDir();
+    for (const std::string& f : c.files) Touch(dir + "/" + f);
+    if (c.latest != nullptr) Touch(dir + "/LATEST", c.latest);
+    const GenerationChain chain(dir, "g.", ".meta", c.form);
+    EXPECT_EQ(chain.RecoveryOrder(), c.want) << c.what;
+  }
+}
+
+TEST(GenerationChainTest, PublishWritesTheChainsLatestForm) {
+  const std::string dir = TempDir();
+  for (uint64_t g : {3, 4}) Touch(dir + "/m." + std::to_string(g) + ".meta");
+  const GenerationChain number(dir, "m.", ".meta", LatestForm::kNumber);
+  ASSERT_TRUE(number.Publish(3, /*sync=*/true).ok());
+  EXPECT_EQ(number.RecoveryOrder(), (std::vector<uint64_t>{3, 4}));
+  const GenerationChain name(dir, "m.", ".meta", LatestForm::kName);
+  EXPECT_EQ(name.RecoveryOrder(), (std::vector<uint64_t>{4, 3}));
+  ASSERT_TRUE(name.Publish(3, /*sync=*/false).ok());
+  EXPECT_EQ(name.RecoveryOrder(), (std::vector<uint64_t>{3, 4}));
+  const GenerationChain none(dir, "n.", ".meta");
+  ASSERT_TRUE(none.Publish(9, /*sync=*/true).ok());
+  EXPECT_EQ(name.RecoveryOrder(), (std::vector<uint64_t>{3, 4}))
+      << "a chain without LATEST must not overwrite another chain's";
+}
+
+TEST(GenerationChainTest, WalkRule) {
+  const Status corrupt = Status::Corruption("bad");
+  const Status io = Status::IoError("eio");
+  const Status bad_option = Status::InvalidArgument("wrong size");
+  struct Case {
+    const char* what;
+    std::vector<uint64_t> gens;
+    std::vector<Status> results;  // per generation, newest first
+    Status::Code want;
+    std::vector<uint64_t> want_tried;
+  };
+  const Case cases[] = {
+      {"no generation is NotFound", {}, {}, Status::Code::kNotFound, {}},
+      {"the first that loads wins",
+       {1, 2, 3},
+       {corrupt, Status::Ok(), Status::Ok()},
+       Status::Code::kOk,
+       {3, 2}},
+      {"every generation corrupt is Corruption",
+       {1, 2},
+       {corrupt, corrupt},
+       Status::Code::kCorruption,
+       {2, 1}},
+      {"a last error other than Corruption keeps its code",
+       {1, 2},
+       {corrupt, bad_option},
+       Status::Code::kInvalidArgument,
+       {2, 1}},
+      {"an IoError last keeps its code",
+       {1, 2},
+       {corrupt, io},
+       Status::Code::kIoError,
+       {2, 1}},
+      {"only the last error counts",
+       {1, 2},
+       {io, corrupt},
+       Status::Code::kCorruption,
+       {2, 1}},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = TempDir();
+    for (uint64_t g : c.gens) Touch(dir + "/w." + std::to_string(g) + ".meta");
+    const GenerationChain chain(dir, "w.", ".meta", LatestForm::kNumber);
+    std::vector<uint64_t> tried;
+    const Status s = chain.Walk([&](uint64_t gen) {
+      tried.push_back(gen);
+      return c.results[tried.size() - 1];
+    });
+    EXPECT_EQ(s.code(), c.want) << c.what;
+    EXPECT_EQ(tried, c.want_tried) << c.what;
+  }
+}
+
+TEST(GenerationChainTest, PruneDeletesOnlyThisChainOutsideTheKeepSet) {
+  const std::string dir = TempDir();
+  for (const char* f : {"p.1.meta", "p.2.meta", "p.3.meta", "p.1.data",
+                        "q.1.meta", "LATEST"}) {
+    Touch(dir + "/" + f);
+  }
+  const GenerationChain chain(dir, "p.", ".meta", LatestForm::kNumber);
+  ASSERT_TRUE(chain.Prune({2}).ok());
+  EXPECT_EQ(chain.List(), (std::vector<uint64_t>{2}));
+  for (const char* f : {"p.1.data", "q.1.meta", "LATEST"}) {
+    EXPECT_TRUE(FileExists(dir + "/" + f)) << f;
+  }
+}
+
+TEST(GenerationChainTest, PruneAfterCrashDeletesNothing) {
+  // Every delete goes through the fault injector: after a simulated power
+  // loss the directory is frozen exactly as it was.
+  const std::string dir = TempDir();
+  for (const char* f : {"p.1.meta", "p.2.meta", "p.3.meta"}) {
+    Touch(dir + "/" + f);
+  }
+  FaultInjector injector;
+  FaultInjector::Install(&injector);
+  injector.CrashNow();
+  const GenerationChain chain(dir, "p.", ".meta");
+  EXPECT_FALSE(chain.Prune({3}).ok());
+  FaultInjector::Install(nullptr);
+  EXPECT_EQ(chain.List(), (std::vector<uint64_t>{3, 2, 1}));
 }
 
 }  // namespace
